@@ -848,14 +848,12 @@ let analysis () =
   Printf.printf "wrote %s: %d files, %d passes\n" out (List.length parsed) (List.length rows)
 
 (* Batched verification service throughput: a fixed synthetic request
-   stream over all seven families, answered once per codec with the
-   caches reset in between, plus a cache-free encode/decode/verify
-   microbenchmark isolating the codec difference.  The response digest
-   and every cache counter are pure functions of the stream — identical
-   for any --jobs value, either codec, and with the label cache on or
-   off — so BENCH_serve.json (DIPP_SERVE_OUT overrides the path) keeps
-   all timing-dependent numbers inside its "timing" object and nothing
-   else. *)
+   stream over all seven families, answered once with both caches reset
+   first.  The response digest and every cache counter are pure functions
+   of the stream — identical for any --jobs value and with the label cache
+   on or off — so BENCH_serve.json (DIPP_SERVE_OUT overrides the path)
+   keeps all timing-dependent numbers inside its "timing" object and
+   nothing else. *)
 let serve () =
   header "SERVE  batched verification service -> BENCH_serve.json";
   let env row n =
@@ -888,110 +886,35 @@ let serve () =
   (* replay a slice of the stream so the service sees exact-repeat hits *)
   let repeats = List.filteri (fun i _ -> i mod 6 = 0) base in
   let stream = Array.of_list (base @ repeats) in
-  let time_serve ~codec =
-    Label_cache.reset ();
-    Serve.Prepared_cache.reset ();
-    let t0 = Unix.gettimeofday () in
-    let out = Serve.execute ~jobs:(jobs ()) ~codec stream in
-    let wall = Unix.gettimeofday () -. t0 in
-    (out, wall)
-  in
-  let report name out wall =
-    let p50, p99 =
-      match Serve.latency_percentiles out with Some ps -> ps | None -> (0., 0.)
-    in
-    Printf.printf "%-8s %5d req  %7.3fs  %8.1f req/s  p50=%6.3fms  p99=%6.3fms\n" name
-      (Array.length out) wall
-      (float_of_int (Array.length out) /. wall)
-      (p50 *. 1e3) (p99 *. 1e3);
-    (wall, p50, p99)
-  in
-  let out_c, wall_c = time_serve ~codec:Bits_flat.Checked in
+  Label_cache.reset ();
+  Serve.Prepared_cache.reset ();
+  let t0 = Unix.gettimeofday () in
+  let answers = Serve.execute ~jobs:(jobs ()) stream in
+  let wall = Unix.gettimeofday () -. t0 in
+  let p50, p99 = match Serve.latency_percentiles answers with Some ps -> ps | None -> (0., 0.) in
+  let rps = float_of_int (Array.length answers) /. wall in
+  Printf.printf "%5d req  %7.3fs  %8.1f req/s  p50=%6.3fms  p99=%6.3fms\n" (Array.length answers)
+    wall rps (p50 *. 1e3) (p99 *. 1e3);
   let pc_lookups, pc_distinct, pc_resident, pc_capacity = Serve.Prepared_cache.stats () in
-  let cache_line = Serve.Prepared_cache.report () ^ "; " ^ Label_cache.report () in
-  let out_f, wall_f = time_serve ~codec:Bits_flat.Flat in
-  let wc, p50_c, p99_c = report "checked" out_c wall_c in
-  let wf, p50_f, p99_f = report "flat" out_f wall_f in
-  let digest_c = Serve.log_digest (Serve.response_log out_c) in
-  let digest_f = Serve.log_digest (Serve.response_log out_f) in
-  let codec_equal = String.equal digest_c digest_f in
-  Printf.printf "response digest %s (%s)\n" digest_c
-    (if codec_equal then "flat == checked" else "FLAT DIVERGES FROM CHECKED");
-  print_endline cache_line;
-  if not codec_equal then failwith "serve: flat codec diverges from the checked reference";
-  (* cache-free microbenchmark: same instance, same seed, codec is the
-     only variable; the honest run covers encode, decode, and verify *)
-  let micro label runs =
-    let time codec =
-      let t0 = Unix.gettimeofday () in
-      runs codec;
-      Unix.gettimeofday () -. t0
-    in
-    ignore (time Bits_flat.Checked) (* warm up *);
-    let c = time Bits_flat.Checked in
-    let f = time Bits_flat.Flat in
-    Printf.printf "%-22s checked %7.3fs  flat %7.3fs  speedup %.2fx\n" label c f (c /. f);
-    (c, f)
-  in
-  let lr_n = 2048 in
-  let lr_inst =
-    let path, arcs = Gen.lr_yes ~n:lr_n 1 in
-    { Lr_sorting.n = lr_n; path; arcs }
-  in
-  let lr_c, lr_f =
-    micro
-      (Printf.sprintf "lr n=%d x5" lr_n)
-      (fun codec ->
-        for seed = 1 to 5 do
-          let r = Lr_sorting.run ~seed ~codec ~prover:Lr_sorting.Honest lr_inst in
-          assert r.Lr_sorting.verdict.Dip.accepted
-        done)
-  in
-  let po_n = 512 in
-  let po_g, po_w = Gen.path_outerplanar ~n:po_n 1 in
-  let po_c, po_f =
-    micro
-      (Printf.sprintf "po n=%d x3" po_n)
-      (fun codec ->
-        for seed = 1 to 3 do
-          let r =
-            Path_outerplanarity.run ~seed ~codec ~prover:Path_outerplanarity.Honest
-              { Path_outerplanarity.graph = po_g; witness = Some po_w }
-          in
-          assert r.Path_outerplanarity.verdict.Dip.accepted
-        done)
-  in
+  let digest = Serve.log_digest (Serve.response_log answers) in
+  Printf.printf "response digest %s\n" digest;
+  print_endline (Serve.Prepared_cache.report () ^ "; " ^ Label_cache.report ());
   let out = match Sys.getenv_opt "DIPP_SERVE_OUT" with Some p -> p | None -> "BENCH_serve.json" in
   let oc = open_out out in
   Printf.fprintf oc "{\"bench\": \"serve\",\n";
   Printf.fprintf oc " \"requests\": %d,\n" (Array.length stream);
   Printf.fprintf oc " \"families\": [%s],\n"
     (String.concat ", " (List.map (Printf.sprintf "\"%s\"") Serve.family_names));
-  Printf.fprintf oc " \"response_digest\": \"%s\",\n" digest_c;
-  Printf.fprintf oc " \"codec_equal\": %b,\n" codec_equal;
+  Printf.fprintf oc " \"response_digest\": \"%s\",\n" digest;
   Printf.fprintf oc
     " \"prepared_cache\": {\"lookups\": %d, \"distinct\": %d, \"resident\": %d, \"capacity\": %d},\n"
     pc_lookups pc_distinct pc_resident pc_capacity;
-  Printf.fprintf oc " \"timing\": {\"jobs\": %d,\n" (jobs ());
   Printf.fprintf oc
-    "  \"checked\": {\"wall_s\": %.6f, \"requests_per_sec\": %.1f, \"p50_ms\": %.4f, \"p99_ms\": %.4f},\n"
-    wc
-    (float_of_int (Array.length stream) /. wc)
-    (p50_c *. 1e3) (p99_c *. 1e3);
-  Printf.fprintf oc
-    "  \"flat\": {\"wall_s\": %.6f, \"requests_per_sec\": %.1f, \"p50_ms\": %.4f, \"p99_ms\": %.4f},\n"
-    wf
-    (float_of_int (Array.length stream) /. wf)
-    (p50_f *. 1e3) (p99_f *. 1e3);
-  Printf.fprintf oc
-    "  \"microbench\": {\"lr_n\": %d, \"lr_checked_s\": %.6f, \"lr_flat_s\": %.6f, \"lr_speedup\": %.3f,\n"
-    lr_n lr_c lr_f (lr_c /. lr_f);
-  Printf.fprintf oc
-    "   \"po_n\": %d, \"po_checked_s\": %.6f, \"po_flat_s\": %.6f, \"po_speedup\": %.3f}}}\n"
-    po_n po_c po_f (po_c /. po_f);
+    " \"timing\": {\"jobs\": %d, \"wall_s\": %.6f, \"requests_per_sec\": %.1f, \"p50_ms\": %.4f, \"p99_ms\": %.4f}}\n"
+    (jobs ()) wall rps (p50 *. 1e3) (p99 *. 1e3);
   close_out oc;
   Printf.fprintf stdout "wrote %s: %d requests, digest %s\n" out (Array.length stream)
-    (String.sub digest_c 0 12)
+    (String.sub digest 0 12)
 
 (* Sharded network-engine scaling: the 10^3..10^6 planar instance ladder
    (10^6 behind DIPP_HEAVY=1) through full DIP round-trips on the

@@ -10,7 +10,7 @@
      dipp record -e E3 -s 7 -o E3.trace
      dipp replay E3.trace
      dipp audit E3.trace other.trace
-     dipp serve requests.txt --jobs 4 --codec flat
+     dipp serve requests.txt --jobs 4
      dipp net net.txt --shards 4 --model drop --rate 0.05 *)
 
 open Dipp
@@ -338,16 +338,7 @@ let serve_cmd =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:"Worker-domain count (default: \\$(b,DIPP_JOBS) or the machine's core count).")
   in
-  let codec_arg =
-    Arg.(
-      value
-      & opt (enum [ ("checked", Bits_flat.Checked); ("flat", Bits_flat.Flat) ]) Bits_flat.Checked
-      & info [ "codec" ] ~docv:"CODEC"
-          ~doc:
-            "Label codec: checked (the Bits.Writer reference path) or flat (preallocated \
-             buffers).  Both produce byte-identical responses.")
-  in
-  let run stream jobs codec =
+  let run stream jobs =
     let input =
       match stream with
       | None | Some "-" -> In_channel.input_all stdin
@@ -359,14 +350,14 @@ let serve_cmd =
         exit 2
     | Ok reqs -> (
         let t0 = Unix.gettimeofday () in
-        match Serve.execute ?jobs ~codec reqs with
+        match Serve.execute ?jobs reqs with
         | exception Serve.Bad_request msg ->
             Printf.eprintf "serve: %s\n" msg;
             exit 2
         | out ->
             let wall = Unix.gettimeofday () -. t0 in
             (* stdout carries only the deterministic response log + digest:
-               byte-identical for every --jobs/--codec/cache setting.
+               byte-identical for every --jobs/cache setting.
                Timing and cache statistics go to stderr. *)
             let log = Serve.response_log out in
             Array.iter print_endline log;
@@ -387,7 +378,7 @@ let serve_cmd =
        ~doc:
          "Answer a stream of verification requests at maximum throughput (instances and honest \
           runs cached, batches fanned over the domain pool).")
-    Term.(const run $ stream_arg $ jobs_arg $ codec_arg)
+    Term.(const run $ stream_arg $ jobs_arg)
 
 (* ---- net (execute on the fault-injecting network runtime) ------------------------ *)
 

@@ -131,7 +131,8 @@ let is_structural_literal (e : Parsetree.expression) =
   | _ -> false
 
 (* Bits functions with scalar results are safe to compare with [=]. *)
-let scalar_bits = [ "length"; "to_int"; "to_string"; "get"; "equal"; "compare"; "popcount" ]
+let scalar_bits =
+  [ "length"; "to_int"; "read_int"; "unsafe_int"; "to_string"; "get"; "equal"; "compare"; "popcount" ]
 
 let structural_head (e : Parsetree.expression) =
   match e.pexp_desc with

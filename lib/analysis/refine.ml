@@ -37,9 +37,9 @@
    - [refine-index] — array/string/Bits subscripts inside decision
      functions are re-proved in bounds from the inferred intervals;
      provable violations are findings, proved-safe subscripts are
-     collected (see {!result.safe}).  [Bits.unsafe_sub] is gated
-     everywhere: any call site the pass cannot prove in-range is a
-     finding.
+     collected (see {!result.safe}).  [Bits.unsafe_sub] and
+     [Bits.unsafe_int] are gated everywhere: any call site the pass
+     cannot prove in-range is a finding.
    - [refine-annotation] — a dipp-refine comment that does not parse.
 
    Soundness of the form comparator: for n >= 1 and 0 <= delta <= n,
@@ -730,7 +730,7 @@ and eval_ident ctx env ~loc txt =
           | _ -> Dyn))
   | _ -> (
       match Ast_scan.last_two txt with
-      | Some (("Bits" | "Bits_flat" | "Enc" | "Dec" | "Writer" | "Reader" | "Array" | "List"
+      | Some (("Bits" | "Writer" | "Reader" | "Array" | "List"
               | "String" | "Bytes" | "Option"
               | "Dip" | "Stdlib" | "Int" | "Char" | "Hashtbl" | "Queue" | "Stack" | "Buffer"
               | "Format" | "Printf" | "Seq" | "Fun" | "Result" | "Float" | "Sys" | "Filename")
@@ -954,9 +954,10 @@ and audit_slice ctx ~loc ~unsafe ~src ~pos ~len =
           Bits.sub or tighten the intervals (a dipp-refine annotation on the inputs can help)"
          (interval_to_string pos) (interval_to_string len) (interval_to_string src))
 
-(* Same obligation as audit_slice, for the flat codec's random-access field
-   reads: [pos, pos+width) must land inside the source bitstring. *)
-and audit_flat_read ctx ~loc ~unsafe ~src ~pos ~width =
+(* Same obligation as audit_slice, for the random-access field reads
+   [Bits.read_int] / [Bits.unsafe_int]: [pos, pos+width) must land inside
+   the source bitstring. *)
+and audit_field_read ctx ~loc ~unsafe ~src ~pos ~width =
   let key (loc : Location.t) =
     (loc.loc_start.pos_lnum, loc.loc_start.pos_cnum - loc.loc_start.pos_bol)
   in
@@ -969,14 +970,14 @@ and audit_flat_read ctx ~loc ~unsafe ~src ~pos ~width =
   in
   if proved then
     add_safe ctx ~loc
-      (Printf.sprintf "Bits_flat.%s: field pos=%s width=%s proved within length %s"
+      (Printf.sprintf "Bits.%s: field pos=%s width=%s proved within length %s"
          (if unsafe then "unsafe_int" else "read_int")
          (interval_to_string pos) (interval_to_string width) (interval_to_string src))
   else if unsafe then
     add_finding ctx ~loc ~rule:rule_index
       (Printf.sprintf
-         "Bits_flat.unsafe_int field pos=%s width=%s not provably within source length %s; \
-          use Bits_flat.read_int or tighten the intervals (a dipp-refine annotation on the \
+         "Bits.unsafe_int field pos=%s width=%s not provably within source length %s; \
+          use Bits.read_int or tighten the intervals (a dipp-refine annotation on the \
           inputs can help)"
          (interval_to_string pos) (interval_to_string width) (interval_to_string src))
 
@@ -1174,6 +1175,12 @@ and apply_builtin ctx ~loc (m, f) args =
           | Wval w -> w.acc <- iv_add w.acc (as_bits_len (List.nth pos 1))
           | _ -> ());
           Dyn)
+  | "Writer", "reset" ->
+      need 1 (fun () ->
+          (match List.nth pos 0 with Wval w -> w.acc <- iv_const 0 | _ -> ());
+          Dyn)
+  | "Writer", "length" ->
+      need 1 (fun () -> match List.nth pos 0 with Wval w -> Ival w.acc | _ -> Ival iv_nonneg)
   | "Writer", "contents" ->
       need 1 (fun () -> match List.nth pos 0 with Wval w -> Bval w.acc | _ -> Dyn)
   | "Reader", "bits" -> (
@@ -1181,53 +1188,13 @@ and apply_builtin ctx ~loc (m, f) args =
   | "Reader", "int" -> (
       match lab "width" with Some _ -> Ival iv_nonneg | None -> Builtin { path = (m, f); bargs = args })
   | "Reader", "remaining" -> need 1 (fun () -> Ival iv_nonneg)
-  (* ---- Bits_flat (flat codec: Enc mirrors Writer, Dec mirrors Reader) ---- *)
-  | "Enc", "create" -> need 1 (fun () ->
-      let w = { acc = iv_const 0 } in
-      ctx.cells <- Wc w :: ctx.cells;
-      Wval w)
-  | "Enc", "reset" ->
-      need 1 (fun () ->
-          (match List.nth pos 0 with Wval w -> w.acc <- iv_const 0 | _ -> ());
-          Dyn)
-  | "Enc", "bool" ->
-      need 2 (fun () ->
-          (match List.nth pos 0 with Wval w -> w.acc <- iv_add w.acc (iv_const 1) | _ -> ());
-          Dyn)
-  | "Enc", "int" -> (
-      match (pos, lab "width") with
-      | wv :: _ :: _, Some width | [ wv ], Some width ->
-          (* (e ~width v) or partially (e ~width) then v *)
-          if List.length pos >= 2 then begin
-            (match wv with Wval w -> w.acc <- iv_add w.acc (as_int width) | _ -> ());
-            Dyn
-          end
-          else Builtin { path = (m, f); bargs = args }
-      | _ -> Builtin { path = (m, f); bargs = args })
-  | "Enc", "bits" ->
-      need 2 (fun () ->
-          (match List.nth pos 0 with
-          | Wval w -> w.acc <- iv_add w.acc (as_bits_len (List.nth pos 1))
-          | _ -> ());
-          Dyn)
-  | "Enc", "length" ->
-      need 1 (fun () -> match List.nth pos 0 with Wval w -> Ival w.acc | _ -> Ival iv_nonneg)
-  | "Enc", "to_bits" ->
-      need 1 (fun () -> match List.nth pos 0 with Wval w -> Bval w.acc | _ -> Dyn)
-  | "Dec", "of_bits" -> need 1 (fun () -> Dyn)
-  | "Dec", "bits" -> (
-      match lab "len" with Some l -> Bval (as_int l) | None -> Builtin { path = (m, f); bargs = args })
-  | "Dec", "int" -> (
-      match lab "width" with Some _ -> Ival iv_nonneg | None -> Builtin { path = (m, f); bargs = args })
-  | "Dec", "bool" -> need 1 (fun () -> Dyn)
-  | "Dec", "remaining" -> need 1 (fun () -> Ival iv_nonneg)
-  | "Bits_flat", ("read_int" | "unsafe_int") -> (
+  | "Bits", ("read_int" | "unsafe_int") -> (
       match (pos, lab "pos", lab "width") with
       | [ src ], Some p, Some w ->
           let src = as_bits_len src and p = as_int p and w = as_int w in
           let unsafe = String.equal f "unsafe_int" in
           if ctx.audit_index || unsafe then
-            audit_flat_read ctx ~loc ~unsafe ~src ~pos:p ~width:w;
+            audit_field_read ctx ~loc ~unsafe ~src ~pos:p ~width:w;
           Ival iv_nonneg
       | _ -> Builtin { path = (m, f); bargs = args })
   (* ---- arrays ---- *)
@@ -1512,7 +1479,7 @@ type result = {
   label_hi : form option;
 }
 
-(* Collect every [Bits.unsafe_sub] / [Bits_flat.unsafe_int] identifier
+(* Collect every [Bits.unsafe_sub] / [Bits.unsafe_int] identifier
    occurrence so call sites the evaluator never reached still fail the
    gate. *)
 let unsafe_sub_sites structure =
@@ -1522,8 +1489,7 @@ let unsafe_sub_sites structure =
     | Pexp_ident { txt; loc } -> (
         match Ast_scan.last_two txt with
         | Some ("Bits", "unsafe_sub") -> acc := ("Bits.unsafe_sub", "Bits.sub", loc) :: !acc
-        | Some ("Bits_flat", "unsafe_int") ->
-            acc := ("Bits_flat.unsafe_int", "Bits_flat.read_int", loc) :: !acc
+        | Some ("Bits", "unsafe_int") -> acc := ("Bits.unsafe_int", "Bits.read_int", loc) :: !acc
         | _ -> ())
     | _ -> ());
     Ast_iterator.default_iterator.expr self e

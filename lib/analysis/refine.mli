@@ -40,8 +40,9 @@ val rule_index : string
 (** ["refine-index"]: array/string/[Bits] subscripts inside decision
     functions and [Dip.all_accept] callbacks are re-proved in bounds;
     provable violations are findings, proved-safe subscripts are
-    collected in {!result.safe}.  [Bits.unsafe_sub] is gated everywhere:
-    any call site the pass cannot prove in-range is a finding. *)
+    collected in {!result.safe}.  [Bits.unsafe_sub] and [Bits.unsafe_int]
+    are gated everywhere: any call site the pass cannot prove in-range is
+    a finding. *)
 
 val rule_annotation : string
 (** ["refine-annotation"]: a [dipp-refine:] comment that does not parse. *)

@@ -23,7 +23,6 @@
 
 (* utilities *)
 module Bits = Dipp_util.Bits
-module Bits_flat = Dipp_util.Bits_flat
 module Rng = Dipp_util.Rng
 module Min_heap = Dipp_util.Min_heap
 module Prime = Dipp_util.Prime
@@ -33,7 +32,6 @@ module Sha256 = Dipp_util.Sha256
 
 (* graph substrate *)
 module Graph = Dipp_graph.Graph
-module Digraph = Dipp_graph.Digraph
 module Traversal = Dipp_graph.Traversal
 module Partition = Dipp_graph.Partition
 module Biconnectivity = Dipp_graph.Biconnectivity
@@ -89,4 +87,3 @@ module Pls_path_outerplanar = Dipp_baselines.Pls_path_outerplanar
 module Pls_spanning_tree = Dipp_baselines.Pls_spanning_tree
 module Lower_bound = Dipp_baselines.Lower_bound
 module Graph_io = Dipp_graph.Graph_io
-module Amplify = Dipp_dip.Amplify

@@ -7,7 +7,6 @@
 
 (* utilities *)
 module Bits = Dipp_util.Bits
-module Bits_flat = Dipp_util.Bits_flat
 module Rng = Dipp_util.Rng
 module Prime = Dipp_util.Prime
 module Fp = Dipp_util.Fp
@@ -17,7 +16,6 @@ module Min_heap = Dipp_util.Min_heap
 
 (* graph substrate *)
 module Graph = Dipp_graph.Graph
-module Digraph = Dipp_graph.Digraph
 module Traversal = Dipp_graph.Traversal
 module Biconnectivity = Dipp_graph.Biconnectivity
 module Degeneracy = Dipp_graph.Degeneracy
@@ -73,4 +71,3 @@ module Pls_path_outerplanar = Dipp_baselines.Pls_path_outerplanar
 module Pls_spanning_tree = Dipp_baselines.Pls_spanning_tree
 module Lower_bound = Dipp_baselines.Lower_bound
 module Graph_io = Dipp_graph.Graph_io
-module Amplify = Dipp_dip.Amplify

@@ -10,6 +10,11 @@
    nodes / 3*10^6 edges the whole parse is three int vectors plus the
    final adjacency. *)
 
+(* Every pinned count and node id is checked against this cap as its line
+   is read, so a 13-byte file cannot make the CSR build allocate gigabytes
+   before any range check runs. *)
+let max_nodes = 1 lsl 24
+
 (* growable int vector *)
 type ivec = { mutable a : int array; mutable len : int }
 
@@ -47,7 +52,11 @@ let parse_stream next_line =
         in
         let node_id tok =
           match int_of_string_opt tok with
-          | Some v when v >= 0 -> v
+          | Some v when v >= 0 && v < max_nodes -> v
+          | Some v when v >= 0 ->
+              invalid_arg
+                (Printf.sprintf "Graph_io: line %d: node id %d exceeds the cap of %d nodes" lineno v
+                   max_nodes)
           | Some v -> invalid_arg (Printf.sprintf "Graph_io: line %d: negative node id %d" lineno v)
           | None ->
               invalid_arg (Printf.sprintf "Graph_io: line %d: expected a node id, got %S" lineno tok)
@@ -56,7 +65,11 @@ let parse_stream next_line =
         | [] -> ()
         | [ "n"; count ] -> (
             match int_of_string_opt count with
-            | Some c when c >= 0 -> pinned_n := Some c
+            | Some c when c >= 0 && c <= max_nodes -> pinned_n := Some c
+            | Some c when c >= 0 ->
+                invalid_arg
+                  (Printf.sprintf "Graph_io: line %d: node count %d exceeds the cap of %d nodes"
+                     lineno c max_nodes)
             | _ -> invalid_arg (Printf.sprintf "Graph_io: line %d: bad node count %S" lineno count))
         | [ a; b ] ->
             let u = node_id a and v = node_id b in

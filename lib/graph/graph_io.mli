@@ -5,11 +5,17 @@
     [n <count>] pins the node count (otherwise 1 + max id).  DOT output is
     provided for visual inspection of instances and counterexamples. *)
 
+val max_nodes : int
+(** The size cap, 2{^24} = 16 777 216 nodes: a pinned [n] may be at most
+    [max_nodes] and a node id at most [max_nodes - 1].  Both are checked on
+    the line that carries them, before any graph storage is allocated. *)
+
 val parse_edge_list : string -> Graph.t
 (** Raises [Invalid_argument] with a 1-based line-numbered message on any
     malformed input: a non-numeric or negative endpoint, a line with a
-    field count other than two, a self-loop, a bad [n] directive, or a
-    node id out of range of a pinned [n]. *)
+    field count other than two, a self-loop, a bad [n] directive, a count
+    or node id over {!max_nodes}, or a node id out of range of a pinned
+    [n]. *)
 
 val to_edge_list : Graph.t -> string
 (** Canonical form: [n <count>] first, then edges sorted ascending — the

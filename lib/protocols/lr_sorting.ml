@@ -122,11 +122,14 @@ let bits_for x =
 
 let flag_code = function Left_of -> 0 | At_vb -> 1 | Right_of -> 2
 
+(* One encoder per label round: fields appended into a Writer sized for
+   the label up front, so encoding never climbs the grow ladder. *)
+
 let r1_node_bits (pa : Params.t) l =
   (* block = Theta(log n): a block index fits in loglog n + O(1) bits *)
   (* dipp-refine: value <= loglog + 2 *)
   let wi = bits_for (2 * pa.Params.block) and wm = bits_for ((2 * pa.Params.block) + 1) in
-  let w = Bits.Writer.create () in
+  let w = Bits.Writer.create ~capacity:(wi + 4 + (2 * wm)) () in
   Bits.Writer.int w ~width:wi l.j;
   Bits.Writer.bool w l.bit1;
   Bits.Writer.bool w l.bit2;
@@ -138,7 +141,7 @@ let r1_node_bits (pa : Params.t) l =
 let r1_arc_bits (pa : Params.t) l =
   (* dipp-refine: value <= loglog + 2 *)
   let wi = bits_for (pa.Params.block + 1) in
-  let w = Bits.Writer.create () in
+  let w = Bits.Writer.create ~capacity:(wi + 1) () in
   (match l with
   | Inner ->
       Bits.Writer.bool w false;
@@ -152,90 +155,27 @@ let r3_node_bits (pa : Params.t) l =
   (* p = poly(block) = polylog(n): a field element fits in O(loglog n) bits *)
   (* dipp-refine: value <= 3*loglog + 6 *)
   let wp = Fp.bit_width pa.Params.p in
-  Bits.concat (List.map (Bits.of_int ~width:wp) [ l.r_e; l.rp_e; l.rb_e; l.pre1; l.pre2; l.f1; l.f2; l.prep ])
+  let w = Bits.Writer.create ~capacity:(8 * wp) () in
+  Bits.Writer.int w ~width:wp l.r_e;
+  Bits.Writer.int w ~width:wp l.rp_e;
+  Bits.Writer.int w ~width:wp l.rb_e;
+  Bits.Writer.int w ~width:wp l.pre1;
+  Bits.Writer.int w ~width:wp l.pre2;
+  Bits.Writer.int w ~width:wp l.f1;
+  Bits.Writer.int w ~width:wp l.f2;
+  Bits.Writer.int w ~width:wp l.prep;
+  Bits.Writer.contents w
 
 let r5_node_bits (pa : Params.t) l =
   (* dipp-refine: value <= 5*loglog + 12 *)
   let wq = Fp.bit_width pa.Params.p2 in
-  Bits.concat (List.map (Bits.of_int ~width:wq) [ l.z_e; l.ph1; l.ph2; l.pt1; l.pt2 ])
-
-(* Flat-codec variants of the serializers above: same fields, same widths,
-   same bit order, but appended into one preallocated buffer instead of one
-   Bits.t per field.  test_serve.ml checks byte-for-byte equality against
-   the checked writers on the golden corpus and QCheck-random labels. *)
-
-let r1_node_bits_flat (pa : Params.t) l =
-  (* dipp-refine: value <= loglog + 2 *)
-  let wi = bits_for (2 * pa.Params.block) and wm = bits_for ((2 * pa.Params.block) + 1) in
-  let e = Bits_flat.Enc.create (wi + 4 + (2 * wm)) in
-  Bits_flat.Enc.int e ~width:wi l.j;
-  Bits_flat.Enc.bool e l.bit1;
-  Bits_flat.Enc.bool e l.bit2;
-  Bits_flat.Enc.int e ~width:2 (flag_code l.flag);
-  Bits_flat.Enc.int e ~width:wm l.m_head;
-  Bits_flat.Enc.int e ~width:wm l.m_tail;
-  Bits_flat.Enc.to_bits e
-
-let r1_arc_bits_flat (pa : Params.t) l =
-  (* dipp-refine: value <= loglog + 2 *)
-  let wi = bits_for (pa.Params.block + 1) in
-  let e = Bits_flat.Enc.create (wi + 1) in
-  (match l with
-  | Inner ->
-      Bits_flat.Enc.bool e false;
-      Bits_flat.Enc.int e ~width:wi 0
-  | Outer { i } ->
-      Bits_flat.Enc.bool e true;
-      Bits_flat.Enc.int e ~width:wi i);
-  Bits_flat.Enc.to_bits e
-
-let r3_node_bits_flat (pa : Params.t) l =
-  (* dipp-refine: value <= 3*loglog + 6 *)
-  let wp = Fp.bit_width pa.Params.p in
-  let e = Bits_flat.Enc.create (8 * wp) in
-  Bits_flat.Enc.int e ~width:wp l.r_e;
-  Bits_flat.Enc.int e ~width:wp l.rp_e;
-  Bits_flat.Enc.int e ~width:wp l.rb_e;
-  Bits_flat.Enc.int e ~width:wp l.pre1;
-  Bits_flat.Enc.int e ~width:wp l.pre2;
-  Bits_flat.Enc.int e ~width:wp l.f1;
-  Bits_flat.Enc.int e ~width:wp l.f2;
-  Bits_flat.Enc.int e ~width:wp l.prep;
-  Bits_flat.Enc.to_bits e
-
-let r5_node_bits_flat (pa : Params.t) l =
-  (* dipp-refine: value <= 5*loglog + 12 *)
-  let wq = Fp.bit_width pa.Params.p2 in
-  let e = Bits_flat.Enc.create (5 * wq) in
-  Bits_flat.Enc.int e ~width:wq l.z_e;
-  Bits_flat.Enc.int e ~width:wq l.ph1;
-  Bits_flat.Enc.int e ~width:wq l.ph2;
-  Bits_flat.Enc.int e ~width:wq l.pt1;
-  Bits_flat.Enc.int e ~width:wq l.pt2;
-  Bits_flat.Enc.to_bits e
-
-(* Codec dispatch is per label and eta-expanded, so dipp-refine joins the
-   two encoders' width intervals at each call instead of losing them to a
-   closure join. *)
-let enc_r1_node codec pa l =
-  match codec with
-  | Bits_flat.Checked -> r1_node_bits pa l
-  | Bits_flat.Flat -> r1_node_bits_flat pa l
-
-let enc_r1_arc codec pa l =
-  match codec with
-  | Bits_flat.Checked -> r1_arc_bits pa l
-  | Bits_flat.Flat -> r1_arc_bits_flat pa l
-
-let enc_r3_node codec pa l =
-  match codec with
-  | Bits_flat.Checked -> r3_node_bits pa l
-  | Bits_flat.Flat -> r3_node_bits_flat pa l
-
-let enc_r5_node codec pa l =
-  match codec with
-  | Bits_flat.Checked -> r5_node_bits pa l
-  | Bits_flat.Flat -> r5_node_bits_flat pa l
+  let w = Bits.Writer.create ~capacity:(5 * wq) () in
+  Bits.Writer.int w ~width:wq l.z_e;
+  Bits.Writer.int w ~width:wq l.ph1;
+  Bits.Writer.int w ~width:wq l.ph2;
+  Bits.Writer.int w ~width:wq l.pt1;
+  Bits.Writer.int w ~width:wq l.pt2;
+  Bits.Writer.contents w
 
 (* ------------------------------------------------------------------ *)
 (* Prover plans.                                                       *)
@@ -530,7 +470,7 @@ let node_checks (pa : Params.t) inst ~(r1 : r1_node array) ~(r3 : r3_node array)
   in
   verify
 
-let run ?(seed = 0) ?(c = 3) ?block ?(retain = false) ?(codec = Bits_flat.Checked) ~prover inst =
+let run ?(seed = 0) ?(c = 3) ?block ?(retain = false) ~prover inst =
   validate_instance inst;
   let n = inst.n in
   let pa = Params.make ~c ?block n in
@@ -622,8 +562,8 @@ let run ?(seed = 0) ?(c = 3) ?block ?(retain = false) ?(codec = Bits_flat.Checke
   in
   Dip.record_prover meter
     (Array.append
-       (Array.map (fun l -> enc_r1_node codec pa l) r1)
-       (Array.of_list (List.map (fun a -> enc_r1_arc codec pa (Arc_map.find a arc_r1)) inst.arcs)));
+       (Array.map (fun l -> r1_node_bits pa l) r1)
+       (Array.of_list (List.map (fun a -> r1_arc_bits pa (Arc_map.find a arc_r1)) inst.arcs)));
 
   (* ---- Round 2 (verifier): r, r', r_b ---- *)
   let rng = Rng.create seed in
@@ -687,7 +627,7 @@ let run ?(seed = 0) ?(c = 3) ?block ?(retain = false) ?(codec = Bits_flat.Checke
   in
   Dip.record_prover meter
     (Array.append
-       (Array.map (fun l -> enc_r3_node codec pa l) r3)
+       (Array.map (fun l -> r3_node_bits pa l) r3)
        (Array.of_list
           (List.map (fun a -> Bits.of_int ~width:wp (Arc_map.find a arc_r3).jval) inst.arcs)));
 
@@ -744,7 +684,7 @@ let run ?(seed = 0) ?(c = 3) ?block ?(retain = false) ?(codec = Bits_flat.Checke
       r5.(v) <- { z_e = z; ph1 = !acc1; ph2 = !acc2; pt1 = !acc3; pt2 = !acc4 }
     done
   done;
-  Dip.record_prover meter (Array.map (fun l -> enc_r5_node codec pa l) r5);
+  Dip.record_prover meter (Array.map (fun l -> r5_node_bits pa l) r5);
 
   (* ---- Verification: purely local checks at each node ---- *)
   let verify = node_checks pa inst ~r1 ~r3 ~r5 ~coins2 ~coins4 ~arc_r1 ~arc_r3 in
@@ -837,120 +777,7 @@ let decode_coins4 (pa : Params.t) ~leader b =
   reader_all "round-4 coins" b (fun r ->
       { z = (if leader then Some (Bits.Reader.int r ~width:wq) else None) })
 
-(* Flat-codec decoders: same strict-inverse contract as reader_all and the
-   decode_* functions above, through Bits_flat.Dec's zero-copy cursor. *)
-
-let dec_all what b f =
-  let d = Bits_flat.Dec.of_bits b in
-  let v = f d in
-  if Bits_flat.Dec.remaining d <> 0 then fail_decode what;
-  v
-
-let decode_r1_node_flat (pa : Params.t) b =
-  let wi = bits_for (2 * pa.Params.block) and wm = bits_for ((2 * pa.Params.block) + 1) in
-  dec_all "r1 node label" b (fun d ->
-      let j = Bits_flat.Dec.int d ~width:wi in
-      let bit1 = Bits_flat.Dec.bool d in
-      let bit2 = Bits_flat.Dec.bool d in
-      let flag =
-        match Bits_flat.Dec.int d ~width:2 with
-        | 0 -> Left_of
-        | 1 -> At_vb
-        | 2 -> Right_of
-        | _ -> fail_decode "r1 flag"
-      in
-      let m_head = Bits_flat.Dec.int d ~width:wm in
-      let m_tail = Bits_flat.Dec.int d ~width:wm in
-      { j; bit1; bit2; flag; m_head; m_tail })
-
-let decode_r1_arc_flat (pa : Params.t) b =
-  let wi = bits_for (pa.Params.block + 1) in
-  dec_all "r1 arc label" b (fun d ->
-      let outer = Bits_flat.Dec.bool d in
-      let i = Bits_flat.Dec.int d ~width:wi in
-      if outer then Outer { i }
-      else if i <> 0 then fail_decode "r1 arc padding"
-      else Inner)
-
-let decode_r3_node_flat (pa : Params.t) b =
-  let wp = Fp.bit_width pa.Params.p in
-  dec_all "r3 node label" b (fun d ->
-      let f () = Bits_flat.Dec.int d ~width:wp in
-      let r_e = f () in
-      let rp_e = f () in
-      let rb_e = f () in
-      let pre1 = f () in
-      let pre2 = f () in
-      let f1 = f () in
-      let f2 = f () in
-      let prep = f () in
-      { r_e; rp_e; rb_e; pre1; pre2; f1; f2; prep })
-
-let decode_r3_arc_flat (pa : Params.t) b =
-  let wp = Fp.bit_width pa.Params.p in
-  dec_all "r3 arc label" b (fun d -> { jval = Bits_flat.Dec.int d ~width:wp })
-
-let decode_r5_node_flat (pa : Params.t) b =
-  let wq = Fp.bit_width pa.Params.p2 in
-  dec_all "r5 node label" b (fun d ->
-      let f () = Bits_flat.Dec.int d ~width:wq in
-      let z_e = f () in
-      let ph1 = f () in
-      let ph2 = f () in
-      let pt1 = f () in
-      let pt2 = f () in
-      { z_e; ph1; ph2; pt1; pt2 })
-
-let decode_coins2_flat (pa : Params.t) ~leftmost ~leader b =
-  let wp = Fp.bit_width pa.Params.p in
-  dec_all "round-2 coins" b (fun d ->
-      let take () = Some (Bits_flat.Dec.int d ~width:wp) in
-      let rr = if leftmost then take () else None in
-      let rp = if leftmost then take () else None in
-      let rb = if leader then take () else None in
-      { r = rr; rp; rb })
-
-let decode_coins4_flat (pa : Params.t) ~leader b =
-  let wq = Fp.bit_width pa.Params.p2 in
-  dec_all "round-4 coins" b (fun d ->
-      { z = (if leader then Some (Bits_flat.Dec.int d ~width:wq) else None) })
-
-let dec_r1_node codec pa b =
-  match codec with
-  | Bits_flat.Checked -> decode_r1_node pa b
-  | Bits_flat.Flat -> decode_r1_node_flat pa b
-
-let dec_r1_arc codec pa b =
-  match codec with
-  | Bits_flat.Checked -> decode_r1_arc pa b
-  | Bits_flat.Flat -> decode_r1_arc_flat pa b
-
-let dec_r3_node codec pa b =
-  match codec with
-  | Bits_flat.Checked -> decode_r3_node pa b
-  | Bits_flat.Flat -> decode_r3_node_flat pa b
-
-let dec_r3_arc codec pa b =
-  match codec with
-  | Bits_flat.Checked -> decode_r3_arc pa b
-  | Bits_flat.Flat -> decode_r3_arc_flat pa b
-
-let dec_r5_node codec pa b =
-  match codec with
-  | Bits_flat.Checked -> decode_r5_node pa b
-  | Bits_flat.Flat -> decode_r5_node_flat pa b
-
-let dec_coins2 codec pa ~leftmost ~leader b =
-  match codec with
-  | Bits_flat.Checked -> decode_coins2 pa ~leftmost ~leader b
-  | Bits_flat.Flat -> decode_coins2_flat pa ~leftmost ~leader b
-
-let dec_coins4 codec pa ~leader b =
-  match codec with
-  | Bits_flat.Checked -> decode_coins4 pa ~leader b
-  | Bits_flat.Flat -> decode_coins4_flat pa ~leader b
-
-let replay ?(c = 3) ?block ?(codec = Bits_flat.Checked) inst frames =
+let replay ?(c = 3) ?block inst frames =
   validate_instance inst;
   let n = inst.n in
   let pa = Params.make ~c ?block n in
@@ -972,20 +799,20 @@ let replay ?(c = 3) ?block ?(codec = Bits_flat.Checked) inst frames =
           || Array.length f4 <> n
           || Array.length f5 <> n
         then fail_decode "frame arity";
-        let r1 = Array.init n (fun v -> dec_r1_node codec pa f1.(v)) in
-        let r3 = Array.init n (fun v -> dec_r3_node codec pa f3.(v)) in
-        let r5 = Array.init n (fun v -> dec_r5_node codec pa f5.(v)) in
+        let r1 = Array.init n (fun v -> decode_r1_node pa f1.(v)) in
+        let r3 = Array.init n (fun v -> decode_r3_node pa f3.(v)) in
+        let r5 = Array.init n (fun v -> decode_r5_node pa f5.(v)) in
         let coins2 =
           Array.init n (fun v ->
-              dec_coins2 codec pa ~leftmost:(pos.(v) = 0) ~leader:(r1.(v).j = 1) f2.(v))
+              decode_coins2 pa ~leftmost:(pos.(v) = 0) ~leader:(r1.(v).j = 1) f2.(v))
         in
-        let coins4 = Array.init n (fun v -> dec_coins4 codec pa ~leader:(r1.(v).j = 1) f4.(v)) in
+        let coins4 = Array.init n (fun v -> decode_coins4 pa ~leader:(r1.(v).j = 1) f4.(v)) in
         let _, arc_r1, arc_r3 =
           List.fold_left
             (fun (k, m1, m3) a ->
               ( k + 1,
-                Arc_map.add a (dec_r1_arc codec pa f1.(n + k)) m1,
-                Arc_map.add a (dec_r3_arc codec pa f3.(n + k)) m3 ))
+                Arc_map.add a (decode_r1_arc pa f1.(n + k)) m1,
+                Arc_map.add a (decode_r3_arc pa f3.(n + k)) m3 ))
             (0, Arc_map.empty, Arc_map.empty)
             inst.arcs
         in

@@ -71,21 +71,17 @@ val run :
   ?c:int ->
   ?block:int ->
   ?retain:bool ->
-  ?codec:Bits_flat.codec ->
   prover:prover ->
   instance ->
   result
 (** Executes the 5-round protocol.  [Honest] on a yes-instance always
     accepts (perfect completeness); on a no-instance every prover strategy
-    is rejected with probability 1 - 1/polylog n.  [codec] selects the
-    label serializer: the checked {!Bits.Writer} reference path (default)
-    or the flat preallocated-buffer path — both produce byte-identical
-    labels. *)
+    is rejected with probability 1 - 1/polylog n.  Each label round is
+    serialized by one {!Bits.Writer} encoder. *)
 
 val replay :
   ?c:int ->
   ?block:int ->
-  ?codec:Bits_flat.codec ->
   instance ->
   (Dip.phase * Bits.t array) list ->
   (Dip.verdict, string) Stdlib.result

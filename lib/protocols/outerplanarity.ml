@@ -37,10 +37,10 @@ let biconnected_witness ?start_ g =
     | Some cyc -> Some (cycle_to_path_from cyc ~start_)
     | None -> None
 
-let run_biconnected ?(seed = 0) ?(c = 3) ?param_n ?retain ?codec ~prover g =
+let run_biconnected ?(seed = 0) ?(c = 3) ?param_n ?retain ~prover g =
   let witness = biconnected_witness g in
   let result =
-    Path_outerplanarity.run ~seed ~c ?param_n ?retain ?codec ~prover
+    Path_outerplanarity.run ~seed ~c ?param_n ?retain ~prover
       { Path_outerplanarity.graph = g; witness }
   in
   (* Theorem 6.1's extra condition: the committed path's endpoints are
@@ -66,7 +66,7 @@ let run_biconnected ?(seed = 0) ?(c = 3) ?param_n ?retain ?codec ~prover g =
 (* Theorem 1.3: general outerplanarity via the block-cut tree.         *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Checked) ~prover inst =
+let run ?(seed = 0) ?(c = 3) ?(retain = false) ~prover inst =
   let g = inst.graph in
   let n = Graph.n g in
   if n = 0 || not (Traversal.is_connected g) then invalid_arg "Outerplanarity.run: need a connected graph";
@@ -149,29 +149,23 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Checked) ~pro
       | Some (_ :: second :: _), _ -> leader.(second) <- true
       | _ -> ())
     comp_paths;
-  (* Flat-path node encoder, preallocated once from the registry envelope so
+  (* Node-label writer, preallocated once from the registry envelope so
      a serve-path request never climbs the grow ladder. *)
-  let flat_cap =
+  let node_cap =
     match Bounds.find "outerplanarity" with
     | Some row -> Bounds.envelope row ~n ~delta:(max 2 (Graph.max_degree g))
     | None -> 64
   in
-  let fenc = Bits_flat.Enc.create ~capacity:flat_cap 64 in
-  let r1_node_flat v =
-    Bits_flat.Enc.reset fenc;
-    Bits_flat.Enc.bits fenc (Forest_encoding.to_bits ~cbits enc.(v));
-    Bits_flat.Enc.bool fenc cut_bit.(v);
-    Bits_flat.Enc.bool fenc leader.(v);
-    Bits_flat.Enc.to_bits fenc
+  let nw = Bits.Writer.create ~capacity:(max 64 node_cap) () in
+  let r1_node v =
+    Bits.Writer.reset nw;
+    Bits.Writer.bits nw (Forest_encoding.to_bits ~cbits enc.(v));
+    Bits.Writer.bool nw cut_bit.(v);
+    Bits.Writer.bool nw leader.(v);
+    Bits.Writer.contents nw
   in
   (* dipp-refine: width <= 10*loglog + 10 *)
-  Dip.record_prover meter
-    (Array.init n (fun v ->
-         match codec with
-         | Bits_flat.Checked ->
-             Bits.concat
-               [ Forest_encoding.to_bits ~cbits enc.(v); Bits.of_bool cut_bit.(v); Bits.of_bool leader.(v) ]
-         | Bits_flat.Flat -> r1_node_flat v));
+  Dip.record_prover meter (Array.init n r1_node);
 
   (* -------- verifier coins: ST coins + sep/lead samples --------------- *)
   let reps = max 2 (nb / 2) in
@@ -209,19 +203,15 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Checked) ~pro
   let sep_of v = if blk_of.(v) >= 0 then sep_tag blk_of.(v) else Bits.empty in
   let lead_of v = if blk_of.(v) >= 0 then lead_tag.(blk_of.(v)) else Bits.empty in
   let st_resp_bits = Spanning_tree_verify.response_to_bits ~tag_bits:4 st_resp in
-  let r3_node_flat v =
-    Bits_flat.Enc.reset fenc;
-    Bits_flat.Enc.bits fenc st_resp_bits.(v);
-    Bits_flat.Enc.bits fenc (sep_of v);
-    Bits_flat.Enc.bits fenc (lead_of v);
-    Bits_flat.Enc.to_bits fenc
+  let r3_node v =
+    Bits.Writer.reset nw;
+    Bits.Writer.bits nw st_resp_bits.(v);
+    Bits.Writer.bits nw (sep_of v);
+    Bits.Writer.bits nw (lead_of v);
+    Bits.Writer.contents nw
   in
   (* dipp-refine: width <= 20*loglog + 20 *)
-  Dip.record_prover meter
-    (Array.init n (fun v ->
-         match codec with
-         | Bits_flat.Checked -> Bits.concat [ st_resp_bits.(v); sep_of v; lead_of v ]
-         | Bits_flat.Flat -> r3_node_flat v));
+  Dip.record_prover meter (Array.init n r3_node);
 
   (* -------- per-component Theorem 6.1 runs ----------------------------- *)
   let comp_prover : Path_outerplanarity.prover =
@@ -245,7 +235,7 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Checked) ~pro
               comp_paths.(b)
           in
           let r =
-            Path_outerplanarity.run ~seed:(seed + (13 * b)) ~c ~param_n:n ~codec ~prover:comp_prover
+            Path_outerplanarity.run ~seed:(seed + (13 * b)) ~c ~param_n:n ~prover:comp_prover
               { Path_outerplanarity.graph = sub; witness }
           in
           (* Theorem 6.1 closing-edge check *)

@@ -35,7 +35,6 @@ val run_biconnected :
   ?c:int ->
   ?param_n:int ->
   ?retain:bool ->
-  ?codec:Bits_flat.codec ->
   prover:Path_outerplanarity.prover ->
   Graph.t ->
   Path_outerplanarity.result
@@ -48,10 +47,8 @@ val run :
   ?seed:int ->
   ?c:int ->
   ?retain:bool ->
-  ?codec:Bits_flat.codec ->
   prover:prover ->
   instance ->
   result
-(** Theorem 1.3 on connected graphs.  [codec] selects the honest prover's
-    label serializer (byte-identical output either way); it is threaded
-    into every per-component {!Path_outerplanarity} run. *)
+(** Theorem 1.3 on connected graphs; every biconnected component with at
+    least three nodes gets its own {!Path_outerplanarity} run. *)

@@ -50,13 +50,9 @@ val run :
   ?c:int ->
   ?param_n:int ->
   ?retain:bool ->
-  ?codec:Bits_flat.codec ->
   prover:prover ->
   instance ->
   result
 (** [param_n] sizes the random fields and name strings (defaults to the
     instance size); per-component callers pass the global node count so the
-    soundness error is 1/polylog of the whole graph, as in the paper.
-    [codec] selects the label serializer: the checked {!Bits.Writer}
-    reference path (default) or the flat preallocated-buffer path — both
-    produce byte-identical labels, here and in the LR-sorting sub-run. *)
+    soundness error is 1/polylog of the whole graph, as in the paper. *)

@@ -98,7 +98,7 @@ type result = {
   transcript : (Dip.phase * Bits.t array) list;
 }
 
-let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Checked) ~prover inst =
+let run ?(seed = 0) ?(c = 3) ?(retain = false) ~prover inst =
   let g = inst.graph in
   let n = Graph.n g in
   if n = 0 || not (Traversal.is_connected g) then
@@ -110,31 +110,12 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Checked) ~pro
   let root = 0 in
   let parent = Traversal.spanning_tree g root in
   let parent = Array.mapi (fun v p -> if p = v then -1 else p) parent in
-  (* Flat-path node encoder, preallocated once from the registry envelope so
-     a serve-path request never climbs the grow ladder; reset-reused per
-     label (to_bits snapshots). *)
-  let flat_cap =
-    match Bounds.find "planar_embedding" with
-    | Some row -> Bounds.envelope row ~n ~delta:(max 2 (Graph.max_degree g))
-    | None -> 64
-  in
-  let fenc = Bits_flat.Enc.create ~capacity:flat_cap 64 in
-  (* eta-expanded per label so dipp-refine joins width intervals at each
-     call site rather than through a closure *)
-  let enc_node codec b =
-    match codec with
-    | Bits_flat.Checked -> b
-    | Bits_flat.Flat ->
-        Bits_flat.Enc.reset fenc;
-        Bits_flat.Enc.bits fenc b;
-        Bits_flat.Enc.to_bits fenc
-  in
   (* Round 1: commit T (Lemma 2.3). *)
   let enc = Forest_encoding.encode g ~parent in
   let cbits = Forest_encoding.color_bits enc in
   (* dipp-refine: width <= 10*loglog + 10 *)
   Dip.record_prover meter
-    (Array.init n (fun v -> enc_node codec (Forest_encoding.to_bits ~cbits enc.(v))));
+    (Array.init n (fun v -> Forest_encoding.to_bits ~cbits enc.(v)));
   (* Rounds 2-3: certify T (Lemma 2.5). *)
   let reps = max 2 (nb / 2) in
   let st_coins = Spanning_tree_verify.draw_coins ~reps ~tag_bits:4 ~parent (Rng.split rng 3) in
@@ -142,7 +123,7 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Checked) ~pro
   let st_resp = Spanning_tree_verify.honest_response ~reps ~parent st_coins in
   let st_resp_bits = Spanning_tree_verify.response_to_bits ~tag_bits:4 st_resp in
   (* dipp-refine: width <= 20*loglog + 20 *)
-  Dip.record_prover meter (Array.init n (fun v -> enc_node codec st_resp_bits.(v)));
+  Dip.record_prover meter st_resp_bits;
   let children = Array.make n [] in
   Array.iteri (fun v p -> if p >= 0 then children.(p) <- v :: children.(p)) parent;
   let st_verdict =
@@ -161,7 +142,7 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Checked) ~pro
   in
   let witness = List.init (Graph.n red.h) Fun.id in
   let inner =
-    Path_outerplanarity.run ~seed:(seed + 5) ~c ~codec ~prover:inner_prover
+    Path_outerplanarity.run ~seed:(seed + 5) ~c ~prover:inner_prover
       { Path_outerplanarity.graph = red.h; witness = Some witness }
   in
   (* Stats: every original node simulates at most 5 copies (its first and

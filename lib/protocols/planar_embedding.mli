@@ -47,10 +47,8 @@ val run :
   ?seed:int ->
   ?c:int ->
   ?retain:bool ->
-  ?codec:Bits_flat.codec ->
   prover:prover ->
   instance ->
   result
-(** Requires a connected graph with at least one node.  [codec] selects
-    the honest prover's label serializer (byte-identical output either
-    way); it is threaded through the inner {!Path_outerplanarity} run. *)
+(** Requires a connected graph with at least one node; the reduced graph
+    is certified by an inner {!Path_outerplanarity} run. *)

@@ -13,7 +13,7 @@ let bits_for x =
   let rec go w = if 1 lsl w > x then w else go (w + 1) in
   max 1 (go 1)
 
-let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Checked) ~prover inst =
+let run ?(seed = 0) ?(c = 3) ?(retain = false) ~prover inst =
   let g = inst.graph in
   let n = Graph.n g in
   if n = 0 || not (Traversal.is_connected g) then invalid_arg "Planarity.run: need a connected graph";
@@ -37,39 +37,29 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Checked) ~pro
     find 0
   in
   let edge_bits (u, v) =
-    Bits.concat [ Bits.of_int ~width:wd (rho_index u v); Bits.of_int ~width:wd (rho_index v u) ]
+    let w = Bits.Writer.create ~capacity:(2 * wd) () in
+    Bits.Writer.int w ~width:wd (rho_index u v);
+    Bits.Writer.int w ~width:wd (rho_index v u);
+    Bits.Writer.contents w
   in
-  let edge_bits_flat (u, v) =
-    let fb = Bits_flat.Enc.create (2 * wd) in
-    Bits_flat.Enc.int fb ~width:wd (rho_index u v);
-    Bits_flat.Enc.int fb ~width:wd (rho_index v u);
-    Bits_flat.Enc.to_bits fb
-  in
-  let assignment =
-    Edge_labels.assign el ~width:(2 * wd) (fun e ->
-        match codec with Bits_flat.Checked -> edge_bits e | Bits_flat.Flat -> edge_bits_flat e)
-  in
+  let assignment = Edge_labels.assign el ~width:(2 * wd) edge_bits in
   let el_setup = Edge_labels.setup_labels el in
-  (* Flat-path node encoder, preallocated once from the registry envelope so
+  (* Node-label writer, preallocated once from the registry envelope so
      a serve-path request never climbs the grow ladder. *)
-  let flat_cap =
+  let node_cap =
     match Bounds.find "planarity" with
     | Some row -> Bounds.envelope row ~n ~delta:(max 2 (Graph.max_degree g))
     | None -> 64
   in
-  let fenc = Bits_flat.Enc.create ~capacity:flat_cap 64 in
-  let r1_node_flat v =
-    Bits_flat.Enc.reset fenc;
-    Bits_flat.Enc.bits fenc el_setup.(v);
-    Bits_flat.Enc.bits fenc assignment.(v);
-    Bits_flat.Enc.to_bits fenc
+  let nw = Bits.Writer.create ~capacity:(max 64 node_cap) () in
+  let r1_node v =
+    Bits.Writer.reset nw;
+    Bits.Writer.bits nw el_setup.(v);
+    Bits.Writer.bits nw assignment.(v);
+    Bits.Writer.contents nw
   in
   (* dipp-refine: width <= 16*loglog + 8*logdelta + 20 *)
-  Dip.record_prover meter
-    (Array.init n (fun v ->
-         match codec with
-         | Bits_flat.Checked -> Bits.concat [ el_setup.(v); assignment.(v) ]
-         | Bits_flat.Flat -> r1_node_flat v));
+  Dip.record_prover meter (Array.init n r1_node);
   (* Each node reconstructs its clockwise order from the rho values it can
      read (all its incident edges' labels) and checks they form a
      permutation of 0..deg-1; then the embedded-planarity protocol runs. *)
@@ -90,7 +80,7 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Checked) ~pro
     match prover with Honest -> Planar_embedding.Honest | Best_rotation -> Planar_embedding.Crossing_sweep
   in
   let inner =
-    Planar_embedding.run ~seed:(seed + 3) ~c ~codec ~prover:inner_prover
+    Planar_embedding.run ~seed:(seed + 3) ~c ~prover:inner_prover
       { Planar_embedding.graph = g; rot }
   in
   let own = Dip.stats meter in

@@ -29,10 +29,8 @@ val run :
   ?seed:int ->
   ?c:int ->
   ?retain:bool ->
-  ?codec:Bits_flat.codec ->
   prover:prover ->
   instance ->
   result
-(** [codec] selects the honest prover's label serializer (checked
-    {!Bits.Writer} vs the flat {!Bits_flat.Enc} path, byte-identical
-    output); it is threaded through the inner {!Planar_embedding} run. *)
+(** The rotation labels are checked locally, then the committed embedding
+    is certified by an inner {!Planar_embedding} run. *)

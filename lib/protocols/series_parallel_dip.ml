@@ -15,7 +15,7 @@ let derive_ears g =
 (* Sub-ear of each ear: the full first ear; interiors of the others. *)
 let sub_ear idx ear = if idx = 0 then ear else List.filteri (fun i _ -> i > 0 && i < List.length ear - 1) ear
 
-let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Checked) ~prover inst =
+let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ~prover inst =
   let g = inst.graph in
   let n = Graph.n g in
   if n < 2 || not (Traversal.is_connected g) then invalid_arg "Series_parallel_dip.run: need a connected graph";
@@ -103,38 +103,25 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Chec
   let cbits = Forest_encoding.color_bits enc in
   let el = Edge_labels.create g in
   let r1_edge e = Bits.of_bool (Hashtbl.mem connecting e) in
-  let r1_edge_flat e =
-    let fb = Bits_flat.Enc.create 1 in
-    Bits_flat.Enc.bool fb (Hashtbl.mem connecting e);
-    Bits_flat.Enc.to_bits fb
-  in
-  let r1_edges =
-    Edge_labels.assign el ~width:1 (fun e ->
-        match codec with Bits_flat.Checked -> r1_edge e | Bits_flat.Flat -> r1_edge_flat e)
-  in
+  let r1_edges = Edge_labels.assign el ~width:1 r1_edge in
   let el_setup = Edge_labels.setup_labels el in
-  (* Flat-path node encoder, preallocated once from the registry envelope so
+  (* Node-label writer, preallocated once from the registry envelope so
      a serve-path request never climbs the grow ladder. *)
-  let flat_cap =
+  let node_cap =
     match Bounds.find "series_parallel_dip" with
     | Some row -> Bounds.envelope row ~n:sizing_n ~delta:(max 2 (Graph.max_degree g))
     | None -> 64
   in
-  let fenc = Bits_flat.Enc.create ~capacity:flat_cap 64 in
-  let r1_node_flat v =
-    Bits_flat.Enc.reset fenc;
-    Bits_flat.Enc.bits fenc (Forest_encoding.to_bits ~cbits enc.(v));
-    Bits_flat.Enc.bits fenc el_setup.(v);
-    Bits_flat.Enc.bits fenc r1_edges.(v);
-    Bits_flat.Enc.to_bits fenc
+  let nw = Bits.Writer.create ~capacity:(max 64 node_cap) () in
+  let r1_node v =
+    Bits.Writer.reset nw;
+    Bits.Writer.bits nw (Forest_encoding.to_bits ~cbits enc.(v));
+    Bits.Writer.bits nw el_setup.(v);
+    Bits.Writer.bits nw r1_edges.(v);
+    Bits.Writer.contents nw
   in
   (* dipp-refine: width <= 20*loglog + 20 *)
-  Dip.record_prover meter
-    (Array.init n (fun v ->
-         match codec with
-         | Bits_flat.Checked ->
-             Bits.concat [ Forest_encoding.to_bits ~cbits enc.(v); el_setup.(v); r1_edges.(v) ]
-         | Bits_flat.Flat -> r1_node_flat v));
+  Dip.record_prover meter (Array.init n r1_node);
 
   (* -------- Round 2 (verifier): sub-ear tags + per-sub-ear ST coins ---- *)
   let leader = Array.make n false in
@@ -211,29 +198,17 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Chec
     ears_arr;
   let zero_tag = Bits.of_string (String.make nb '0') in
   let r3_edge e = match Hashtbl.find_opt chord_host e with Some t -> t | None -> zero_tag in
-  let r3_edge_flat e =
-    let fb = Bits_flat.Enc.create nb in
-    Bits_flat.Enc.bits fb (match Hashtbl.find_opt chord_host e with Some t -> t | None -> zero_tag);
-    Bits_flat.Enc.to_bits fb
-  in
-  let r3_edges =
-    Edge_labels.assign el ~width:nb (fun e ->
-        match codec with Bits_flat.Checked -> r3_edge e | Bits_flat.Flat -> r3_edge_flat e)
-  in
-  let r3_node_flat v =
-    Bits_flat.Enc.reset fenc;
-    Bits_flat.Enc.bits fenc resp_bits.(v);
-    Bits_flat.Enc.bits fenc (ear_of v);
-    Bits_flat.Enc.bits fenc (pred_of v);
-    Bits_flat.Enc.bits fenc r3_edges.(v);
-    Bits_flat.Enc.to_bits fenc
+  let r3_edges = Edge_labels.assign el ~width:nb r3_edge in
+  let r3_node v =
+    Bits.Writer.reset nw;
+    Bits.Writer.bits nw resp_bits.(v);
+    Bits.Writer.bits nw (ear_of v);
+    Bits.Writer.bits nw (pred_of v);
+    Bits.Writer.bits nw r3_edges.(v);
+    Bits.Writer.contents nw
   in
   (* dipp-refine: width <= 20*loglog + 20 *)
-  Dip.record_prover meter
-    (Array.init n (fun v ->
-         match codec with
-         | Bits_flat.Checked -> Bits.concat [ resp_bits.(v); ear_of v; pred_of v; r3_edges.(v) ]
-         | Bits_flat.Flat -> r3_node_flat v));
+  Dip.record_prover meter (Array.init n r3_node);
 
   (* -------- per-host derived path-outerplanarity runs ------------------ *)
   let chords_of_host = Array.make k [] in
@@ -271,7 +246,7 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Chec
           let path_edges = List.init (len - 1) (fun i -> (i, i + 1)) in
           let derived = Graph.create ~n:len (path_edges @ chords) in
           Some
-            (Path_outerplanarity.run ~seed:(seed + (17 * j)) ~c ~param_n:sizing_n ~codec
+            (Path_outerplanarity.run ~seed:(seed + (17 * j)) ~c ~param_n:sizing_n
                ~prover:host_prover
                { Path_outerplanarity.graph = derived; witness = Some (List.init len Fun.id) })
         end)

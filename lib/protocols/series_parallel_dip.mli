@@ -45,10 +45,8 @@ val run :
   ?c:int ->
   ?param_n:int ->
   ?retain:bool ->
-  ?codec:Bits_flat.codec ->
   prover:prover ->
   instance ->
   result
-(** [codec] selects the honest prover's label serializer (byte-identical
-    output either way); it is threaded into every per-host
+(** Each host ear's derived instance gets its own
     {!Path_outerplanarity} run. *)

@@ -26,10 +26,7 @@ val run :
   ?seed:int ->
   ?c:int ->
   ?retain:bool ->
-  ?codec:Bits_flat.codec ->
   prover:prover ->
   instance ->
   result
-(** [codec] selects the honest prover's label serializer (byte-identical
-    output either way); it is threaded into every per-component
-    {!Series_parallel_dip} run. *)
+(** Each biconnected component gets its own {!Series_parallel_dip} run. *)

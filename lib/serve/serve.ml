@@ -9,10 +9,10 @@
 
    Determinism contract: the response log (and its digest) is a pure
    function of the request stream — identical for every DIPP_JOBS value,
-   with the caches on or off, and for either label codec.  Only latencies
-   and the throughput summary are timing-dependent, and those never enter
-   the log.  Pooled workers therefore never print and only touch shared
-   state through the two mutex-guarded caches. *)
+   and with the caches on or off.  Only latencies and the throughput
+   summary are timing-dependent, and those never enter the log.  Pooled
+   workers therefore never print and only touch shared state through the
+   two mutex-guarded caches. *)
 
 module Gen = Dipp_gen.Gen
 module Pool = Dipp_engine.Pool
@@ -43,7 +43,7 @@ type outcome = { response : response; latency_s : float }
 type prepared = {
   instance_key : string;  (* content address of the constructed instance *)
   nodes : int;
-  exec : codec:Bits_flat.codec -> seed:int -> Dip.verdict * Dip.stats;
+  exec : seed:int -> Dip.verdict * Dip.stats;
 }
 
 type family = {
@@ -75,8 +75,8 @@ let lr_family =
           instance_key = content_key ~name:"lr" ~n ~gseed ~digest:(Label_cache.lr_key inst);
           nodes = n;
           exec =
-            (fun ~codec ~seed ->
-              let r = Lr_sorting.run ~seed ~codec ~prover:Lr_sorting.Honest inst in
+            (fun ~seed ->
+              let r = Lr_sorting.run ~seed ~prover:Lr_sorting.Honest inst in
               (r.Lr_sorting.verdict, r.Lr_sorting.stats));
         })
   }
@@ -94,9 +94,9 @@ let po_family =
             content_key ~name:"path_outerplanarity" ~n ~gseed ~digest:(Trace.graph_digest g);
           nodes = Graph.n g;
           exec =
-            (fun ~codec ~seed ->
+            (fun ~seed ->
               let r =
-                Path_outerplanarity.run ~seed ~codec ~prover:Path_outerplanarity.Honest
+                Path_outerplanarity.run ~seed ~prover:Path_outerplanarity.Honest
                   { Path_outerplanarity.graph = g; witness = Some w }
               in
               (r.Path_outerplanarity.verdict, r.Path_outerplanarity.stats));
@@ -116,9 +116,9 @@ let outerplanarity_family =
             content_key ~name:"outerplanarity" ~n ~gseed ~digest:(Trace.graph_digest g);
           nodes = Graph.n g;
           exec =
-            (fun ~codec ~seed ->
+            (fun ~seed ->
               let r =
-                Outerplanarity.run ~seed ~codec ~prover:Outerplanarity.Honest
+                Outerplanarity.run ~seed ~prover:Outerplanarity.Honest
                   { Outerplanarity.graph = g }
               in
               (r.Outerplanarity.verdict, r.Outerplanarity.stats));
@@ -143,9 +143,9 @@ let planar_embedding_family =
             content_key ~name:"planar_embedding" ~n ~gseed ~digest:(Trace.graph_digest g);
           nodes = Graph.n g;
           exec =
-            (fun ~codec ~seed ->
+            (fun ~seed ->
               let r =
-                Planar_embedding.run ~seed ~codec ~prover:Planar_embedding.Honest
+                Planar_embedding.run ~seed ~prover:Planar_embedding.Honest
                   { Planar_embedding.graph = g; rot }
               in
               (r.Planar_embedding.verdict, r.Planar_embedding.stats));
@@ -164,9 +164,9 @@ let planarity_family =
           instance_key = content_key ~name:"planarity" ~n ~gseed ~digest:(Trace.graph_digest g);
           nodes = Graph.n g;
           exec =
-            (fun ~codec ~seed ->
+            (fun ~seed ->
               let r =
-                Planarity.run ~seed ~codec ~prover:Planarity.Honest { Planarity.graph = g }
+                Planarity.run ~seed ~prover:Planarity.Honest { Planarity.graph = g }
               in
               (r.Planarity.verdict, r.Planarity.stats));
         })
@@ -186,9 +186,9 @@ let series_parallel_family =
             content_key ~name:"series_parallel" ~n ~gseed ~digest:(Trace.graph_digest g);
           nodes = Graph.n g;
           exec =
-            (fun ~codec ~seed ->
+            (fun ~seed ->
               let r =
-                Series_parallel_dip.run ~seed ~codec ~prover:Series_parallel_dip.Honest
+                Series_parallel_dip.run ~seed ~prover:Series_parallel_dip.Honest
                   { Series_parallel_dip.graph = g; ears = Some ears }
               in
               (r.Series_parallel_dip.verdict, r.Series_parallel_dip.stats));
@@ -207,9 +207,9 @@ let treewidth2_family =
           instance_key = content_key ~name:"treewidth2" ~n ~gseed ~digest:(Trace.graph_digest g);
           nodes = Graph.n g;
           exec =
-            (fun ~codec ~seed ->
+            (fun ~seed ->
               let r =
-                Treewidth2_dip.run ~seed ~codec ~prover:Treewidth2_dip.Honest
+                Treewidth2_dip.run ~seed ~prover:Treewidth2_dip.Honest
                   { Treewidth2_dip.graph = g }
               in
               (r.Treewidth2_dip.verdict, r.Treewidth2_dip.stats));
@@ -458,7 +458,7 @@ end
 
 exception Bad_request of string
 
-let answer ~codec index r =
+let answer index r =
   match validate_request r with
   | Error e -> raise (Bad_request (Printf.sprintf "request %d: %s" index e))
   | Ok fam ->
@@ -468,7 +468,7 @@ let answer ~codec index r =
         Label_cache.key ~protocol:("serve|" ^ fam.name) ~instance:prep.instance_key ~seed:r.seed
       in
       let verdict, stats =
-        Label_cache.find_or_run ~key:lkey (fun () -> prep.exec ~codec ~seed:r.seed)
+        Label_cache.find_or_run ~key:lkey (fun () -> prep.exec ~seed:r.seed)
       in
       let max_bits = stats.Dip.max_node_total_bits in
       {
@@ -497,11 +497,11 @@ let validate_batch reqs =
    negative. *)
 let monotonic_latency ~t0 ~t1 = if t1 > t0 then t1 -. t0 else 0.
 
-let execute ?jobs ?(codec = Bits_flat.Checked) reqs =
+let execute ?jobs reqs =
   validate_batch reqs;
   Pool.run ?jobs (Array.length reqs) (fun i ->
       let t0 = Unix.gettimeofday () in
-      let response = answer ~codec i reqs.(i) in
+      let response = answer i reqs.(i) in
       { response; latency_s = monotonic_latency ~t0 ~t1:(Unix.gettimeofday ()) })
 
 (* ---- response log ------------------------------------------------------ *)

@@ -8,9 +8,8 @@
 
     Determinism contract: the response log and its digest are pure
     functions of the request stream — identical for every [DIPP_JOBS]
-    value, with the caches on or off, and for either label codec.  Only
-    latencies and throughput are timing-dependent, and they never enter
-    the log. *)
+    value and with the caches on or off.  Only latencies and throughput
+    are timing-dependent, and they never enter the log. *)
 
 type request = {
   family : string;  (** one of {!family_names} *)
@@ -77,7 +76,7 @@ exception Bad_request of string
     label budget beyond the family's registry envelope.  Raised by
     {!execute} before any pooled work starts (exit code 2 at the CLI). *)
 
-val execute : ?jobs:int -> ?codec:Bits_flat.codec -> request array -> outcome array
+val execute : ?jobs:int -> request array -> outcome array
 (** Answers every request, in request order.  Raises {!Bad_request} if any
     request fails validation — checked up front so a bad request never
     reaches a worker domain. *)

@@ -77,11 +77,6 @@ let sub t ~pos ~len =
       (Printf.sprintf "Bits.sub: slice [%d, %d+%d) out of range for length %d" pos pos len t.len);
   unsafe_sub t ~pos ~len
 
-(* Aliasing view, not a copy: callers must treat the result as read-only or
-   structural equality of the source bitstring silently breaks.  Exists so
-   the flat codec (Bits_flat) can decode without re-copying the buffer. *)
-let unsafe_data t = t.data
-
 let random rng len = init len (fun _ -> Rng.bool rng)
 
 let to_string t = String.init t.len (fun i -> if get t i then '1' else '0')
@@ -97,25 +92,104 @@ let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let to_bytes t = Bytes.copy t.data
 
-let of_bytes ~len data =
-  if len < 0 || Bytes.length data <> bytes_for len then invalid_arg "Bits.of_bytes";
-  let data = Bytes.copy data in
-  (* re-zero the tail bits so structural equality stays meaningful even on
-     bytes that came from disk *)
+(* Re-zero the tail bits of a freshly copied buffer, so structural
+   equality stays meaningful on bytes from disk or a reused writer. *)
+let with_zero_tail ~len data =
   if len land 7 <> 0 then begin
     let j = Bytes.length data - 1 in
     Bytes.set data j (Char.chr (Char.code (Bytes.get data j) land ((1 lsl (len land 7)) - 1)))
   end;
   { len; data }
 
-module Writer = struct
-  type nonrec t = { mutable rev : t list }
+let of_bytes ~len data =
+  if len < 0 || Bytes.length data <> bytes_for len then invalid_arg "Bits.of_bytes";
+  with_zero_tail ~len (Bytes.copy data)
 
-  let create () = { rev = [] }
-  let bits w b = w.rev <- b :: w.rev
-  let bool w b = bits w (of_bool b)
-  let int w ~width v = bits w (of_int ~width v)
-  let contents w = concat (List.rev w.rev)
+(* Integer field [pos, pos+width) read MSB-first straight off the byte
+   buffer, without building the intermediate bitstring [sub] would. *)
+let fold_int data ~pos ~width =
+  let v = ref 0 in
+  for k = 0 to width - 1 do
+    let i = pos + k in
+    v := (!v lsl 1) lor ((Char.code (Bytes.unsafe_get data (i lsr 3)) lsr (i land 7)) land 1)
+  done;
+  !v
+
+let read_int t ~pos ~width =
+  if pos < 0 || width < 0 || width > 62 || pos + width > t.len then
+    invalid_arg
+      (Printf.sprintf "Bits.read_int: slice [%d, %d+%d) out of range for length %d" pos pos width
+         t.len);
+  fold_int t.data ~pos ~width
+
+(* No range check: like unsafe_sub, reserved for call sites the
+   refine-index pass has proved in-bounds — an unverified call site is a
+   lint finding.  Out-of-range bit indices read whatever the backing
+   buffer holds (including past its end: a crash), which is why the gate
+   is static. *)
+let unsafe_int t ~pos ~width = fold_int t.data ~pos ~width
+
+(* The label encoder appends fields into one growable byte buffer with raw
+   index arithmetic, so a label costs one buffer and one copy instead of a
+   bitstring per field.  The layout is the one above: bit [i] in byte
+   [i lsr 3], mask [1 lsl (i land 7)], integer fields MSB-first. *)
+module Writer = struct
+  type nonrec t = { mutable pos : int; mutable buf : Bytes.t }
+
+  (* [capacity] is a preallocation floor: a reset-reused writer sized from
+     a Bounds envelope never climbs the grow ladder, however the individual
+     labels interleave. *)
+  let create ?(capacity = 64) () =
+    { pos = 0; buf = Bytes.make (bytes_for (max 1 capacity)) '\000' }
+
+  let length w = w.pos
+
+  (* Reset without re-zeroing the buffer: set_bit below writes both 0 and
+     1, so stale bits beyond the new cursor are re-written before they are
+     ever read, and [contents] masks the last byte. *)
+  let reset w = w.pos <- 0
+
+  let grow w need =
+    let cur = Bytes.length w.buf in
+    if need > cur * 8 then begin
+      let nbytes = ref (max 1 cur) in
+      while need > !nbytes * 8 do
+        nbytes := !nbytes * 2
+      done;
+      let buf = Bytes.make !nbytes '\000' in
+      Bytes.blit w.buf 0 buf 0 cur;
+      w.buf <- buf
+    end
+
+  let set_bit w i b =
+    let j = i lsr 3 in
+    let mask = 1 lsl (i land 7) in
+    let c = Char.code (Bytes.unsafe_get w.buf j) in
+    Bytes.unsafe_set w.buf j (Char.unsafe_chr (if b then c lor mask else c land lnot mask))
+
+  let bool w b =
+    grow w (w.pos + 1);
+    set_bit w w.pos b;
+    w.pos <- w.pos + 1
+
+  let int w ~width v =
+    if width < 0 || width > 62 then invalid_arg "Bits.Writer.int: width";
+    if v < 0 || (width < 62 && v lsr width <> 0) then invalid_arg "Bits.Writer.int: value";
+    grow w (w.pos + width);
+    for k = 0 to width - 1 do
+      set_bit w (w.pos + k) ((v lsr (width - 1 - k)) land 1 = 1)
+    done;
+    w.pos <- w.pos + width
+
+  let bits w b =
+    grow w (w.pos + b.len);
+    for k = 0 to b.len - 1 do
+      set_bit w (w.pos + k)
+        (Char.code (Bytes.unsafe_get b.data (k lsr 3)) land (1 lsl (k land 7)) <> 0)
+    done;
+    w.pos <- w.pos + b.len
+
+  let contents w = with_zero_tail ~len:w.pos (Bytes.sub w.buf 0 (bytes_for w.pos))
 end
 
 module Reader = struct
@@ -132,6 +206,11 @@ module Reader = struct
     r.pos <- r.pos + len;
     b
 
-  let bool r = to_int (bits r ~len:1) = 1
-  let int r ~width = to_int (bits r ~len:width)
+  let int r ~width =
+    if width > remaining r then raise Underflow;
+    let v = read_int r.src ~pos:r.pos ~width in
+    r.pos <- r.pos + width;
+    v
+
+  let bool r = int r ~width:1 = 1
 end

@@ -45,11 +45,17 @@ val unsafe_sub : t -> pos:int -> len:int -> t
     return garbage (the zero tail of the backing buffer) rather than
     raising. *)
 
-val unsafe_data : t -> bytes
-(** The backing byte buffer itself — an aliasing view, not a copy.  Callers
-    must treat it as read-only; mutating it breaks the structural-equality
-    invariant (zeroed tail bits).  Exists so {!Bits_flat} can decode labels
-    without copying. *)
+val read_int : t -> pos:int -> width:int -> int
+(** [read_int t ~pos ~width] is [to_int (sub t ~pos ~len:width)] without
+    building the slice.  Raises [Invalid_argument] naming the offending
+    slice and the length when [pos, pos+width) is out of range or
+    [width > 62] (same shape as the {!sub} message). *)
+
+val unsafe_int : t -> pos:int -> width:int -> int
+(** {!read_int} without the range check.  Reserved for call sites the
+    [refine-index] pass of dipp-lint has proved in-bounds — any call site
+    the pass cannot verify is a lint finding.  Out-of-range positions read
+    garbage or crash rather than raising. *)
 
 val random : Rng.t -> int -> t
 (** [random rng len] draws [len] uniform bits. *)
@@ -71,17 +77,39 @@ val of_bytes : len:int -> bytes -> t
 (** Inverse of {!to_bytes}.  Raises [Invalid_argument] if the byte count
     does not match [len]; tail bits beyond [len] are zeroed. *)
 
+(** Label encoder: appends fields into one growable byte buffer, so a
+    label costs one buffer and one copy rather than a bitstring per field.
+    Every protocol serializes each label round through it. *)
 module Writer : sig
   type bits := t
   type t
 
-  val create : unit -> t
+  val create : ?capacity:int -> unit -> t
+  (** [capacity] (default 64) preallocates that many bits.  The buffer
+      grows by doubling if exceeded, so it is a sizing hint, not a limit:
+      pass the protocol's registry envelope (see [Bounds]) to a
+      reset-reused writer and it never pays the grow ladder. *)
+
+  val reset : t -> unit
+  (** Rewind to empty for buffer reuse; O(1), no zero-fill. *)
+
   val bool : t -> bool -> unit
+
   val int : t -> width:int -> int -> unit
+  (** Same contract as {!of_int}: requires [0 <= v < 2^width] and
+      [0 <= width <= 62]; raises [Invalid_argument] otherwise. *)
+
   val bits : t -> bits -> unit
+  (** Append an existing bitstring. *)
+
+  val length : t -> int
+  (** Bits written since creation or the last {!reset}. *)
+
   val contents : t -> bits
+  (** Snapshot the written prefix as an immutable bitstring (copies). *)
 end
 
+(** Label decoder: a bit cursor over a bitstring's backing bytes. *)
 module Reader : sig
   type bits := t
   type t
@@ -94,5 +122,6 @@ module Reader : sig
 
   exception Underflow
   (** Raised when reading past the end — i.e. a malformed label.  Verifiers
-      treat this as a rejection. *)
+      treat this as a rejection.  A negative or over-62-bit field width
+      raises [Invalid_argument]. *)
 end

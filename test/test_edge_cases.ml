@@ -1,5 +1,5 @@
 (* Edge cases across the protocol stack: degenerate sizes, invalid inputs,
-   trivial families, and amplified runs. *)
+   trivial families, and family relations. *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -103,31 +103,6 @@ let prop_family_inclusions =
       && Planar_test.is_planar g
       && Series_parallel.is_treewidth_le_2 g)
 
-(* ---- amplified protocol runs --------------------------------------------- *)
-
-let test_amplified_lr () =
-  let path, arcs = Gen.lr_yes ~n:100 3 in
-  let inst = { Lr_sorting.n = 100; path; arcs } in
-  let a =
-    Amplify.run ~reps:3 ~seed:1
-      ~run:(fun ~seed -> Lr_sorting.run ~seed ~prover:Lr_sorting.Honest inst)
-      ~verdict:(fun r -> r.Lr_sorting.verdict)
-      ~stats:(fun r -> r.Lr_sorting.stats)
-  in
-  Alcotest.(check bool) "amplified completeness" true a.Amplify.verdict.Dip.accepted;
-  Alcotest.(check int) "still 5 rounds" 5 a.Amplify.stats.Dip.interaction_rounds
-
-let test_amplified_lr_soundness () =
-  let path, arcs = Gen.lr_no ~n:100 3 in
-  let inst = { Lr_sorting.n = 100; path; arcs } in
-  let a =
-    Amplify.run ~reps:3 ~seed:1
-      ~run:(fun ~seed -> Lr_sorting.run ~seed ~prover:Lr_sorting.Forge_pairs inst)
-      ~verdict:(fun r -> r.Lr_sorting.verdict)
-      ~stats:(fun r -> r.Lr_sorting.stats)
-  in
-  Alcotest.(check bool) "amplified soundness" false a.Amplify.verdict.Dip.accepted
-
 (* ---- seeds do not change verdicts on honest yes-instances ----------------- *)
 
 let prop_seed_invariance =
@@ -164,11 +139,6 @@ let () =
           Alcotest.test_case "sp rejects grid" `Quick test_sp_rejects_grid;
           Alcotest.test_case "tw2 accepts outerplanar" `Quick test_tw2_accepts_outerplanar;
           qtest prop_family_inclusions;
-        ] );
-      ( "amplified",
-        [
-          Alcotest.test_case "completeness" `Quick test_amplified_lr;
-          Alcotest.test_case "soundness" `Quick test_amplified_lr_soundness;
         ] );
       ("seed invariance", [ qtest prop_seed_invariance ]);
     ]

@@ -94,29 +94,6 @@ let prop_edges_normalized =
       let es = Graph.edges g in
       List.for_all (fun (u, v) -> u < v) es && List.length (List.sort_uniq compare es) = List.length es)
 
-(* ---- Digraph -------------------------------------------------------- *)
-
-let test_digraph_basic () =
-  let d = Digraph.create ~n:4 [ (0, 1); (1, 2); (2, 3); (0, 2) ] in
-  Alcotest.(check bool) "arc" true (Digraph.mem_arc d 0 1);
-  Alcotest.(check bool) "no reverse" false (Digraph.mem_arc d 1 0);
-  Alcotest.(check (array int)) "out" [| 1; 2 |] (Digraph.out_neighbors d 0);
-  Alcotest.(check (array int)) "in of 3" [| 2 |] (Digraph.in_neighbors d 3);
-  Alcotest.(check (array int)) "in of 2" [| 0; 1 |] (Digraph.in_neighbors d 2)
-
-let test_digraph_acyclic () =
-  let dag = Digraph.create ~n:4 [ (0, 1); (1, 2); (0, 2); (2, 3) ] in
-  Alcotest.(check bool) "dag" true (Digraph.is_acyclic dag);
-  let cyc = Digraph.create ~n:3 [ (0, 1); (1, 2); (2, 0) ] in
-  Alcotest.(check bool) "cycle" false (Digraph.is_acyclic cyc)
-
-let test_digraph_orient () =
-  let g = Graph.cycle_graph 5 in
-  let order = [| 0; 1; 2; 3; 4 |] in
-  let d = Digraph.orient g ~order in
-  Alcotest.(check bool) "acyclic orientation" true (Digraph.is_acyclic d);
-  Alcotest.(check bool) "wrap arc direction" true (Digraph.mem_arc d 0 4)
-
 (* ---- Traversal ------------------------------------------------------ *)
 
 let test_bfs_distances () =
@@ -315,12 +292,6 @@ let () =
           Alcotest.test_case "union disjoint" `Quick test_union_disjoint;
           qtest prop_degree_sum;
           qtest prop_edges_normalized;
-        ] );
-      ( "digraph",
-        [
-          Alcotest.test_case "basic" `Quick test_digraph_basic;
-          Alcotest.test_case "acyclic" `Quick test_digraph_acyclic;
-          Alcotest.test_case "orient" `Quick test_digraph_orient;
         ] );
       ( "traversal",
         [

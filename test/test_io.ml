@@ -1,4 +1,5 @@
-(* Graph I/O, duals, topological sort, and the amplification wrapper. *)
+(* Graph I/O, duals, the LR yes-instance / acyclicity correspondence, and
+   per-phase stats. *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -52,6 +53,40 @@ let test_read_file_range_error () =
     (Invalid_argument (path ^ ": Graph_io: line 3: node id 5 out of range (n = 3)"))
     (fun () -> ignore (Graph_io.read_file path));
   Sys.remove path
+
+let test_size_cap () =
+  (* a 13-byte file must not make the parser allocate for three billion
+     nodes: a pinned count or a node id over the cap is a line-numbered
+     Invalid_argument before any graph storage exists *)
+  let cases =
+    [
+      ("n 3000000000\n", "line 1: node count 3000000000 exceeds the cap of 16777216 nodes");
+      ("0 3000000000\n", "line 1: node id 3000000000 exceeds the cap of 16777216 nodes");
+    ]
+  in
+  List.iter
+    (fun (text, msg) ->
+      Alcotest.(check int) "13-byte input" 13 (String.length text);
+      Alcotest.check_raises ("parse " ^ String.trim text)
+        (Invalid_argument ("Graph_io: " ^ msg))
+        (fun () -> ignore (Graph_io.parse_edge_list text));
+      let path = Filename.temp_file "dipp" ".txt" in
+      let oc = open_out path in
+      output_string oc text;
+      close_out oc;
+      Alcotest.check_raises ("read_file " ^ String.trim text)
+        (Invalid_argument (path ^ ": Graph_io: " ^ msg))
+        (fun () -> ignore (Graph_io.read_file path));
+      Sys.remove path)
+    cases;
+  (* node ids run 0 .. max_nodes - 1, and 10^6-node graphs stay admitted *)
+  Alcotest.check_raises "first id past the cap"
+    (Invalid_argument
+       (Printf.sprintf "Graph_io: line 1: node id %d exceeds the cap of %d nodes"
+          Graph_io.max_nodes Graph_io.max_nodes))
+    (fun () -> ignore (Graph_io.parse_edge_list (Printf.sprintf "0 %d\n" Graph_io.max_nodes)));
+  Alcotest.(check int) "10^6 nodes parse" 1_000_000
+    (Graph.n (Graph_io.parse_edge_list "n 1000000\n0 999999\n"))
 
 let test_read_file_streams_large () =
   (* a file bigger than any parser chunk: the two-pass CSR build must
@@ -127,20 +162,30 @@ let prop_dual_planar =
           Traversal.is_connected d && Planar_test.is_planar d
       | None -> false)
 
-(* ---- topological sort -------------------------------------------------------- *)
+(* ---- LR instances vs acyclicity ------------------------------------------- *)
 
-let test_topo_sort_dag () =
-  let d = Digraph.create ~n:5 [ (0, 2); (1, 2); (2, 3); (3, 4); (0, 4) ] in
-  match Digraph.topological_sort d with
-  | Some order ->
-      let pos = Array.make 5 0 in
-      List.iteri (fun i v -> pos.(v) <- i) order;
-      List.iter (fun (u, v) -> Alcotest.(check bool) "respects arcs" true (pos.(u) < pos.(v))) (Digraph.arcs d)
-  | None -> Alcotest.fail "dag has an order"
-
-let test_topo_sort_cycle () =
-  let d = Digraph.create ~n:3 [ (0, 1); (1, 2); (2, 0) ] in
-  Alcotest.(check bool) "no order" true (Digraph.topological_sort d = None)
+(* Kahn's algorithm: does the digraph on 0..n-1 with these arcs admit a
+   topological order? *)
+let is_acyclic ~n arcs =
+  let indeg = Array.make n 0 and out = Array.make n [] in
+  List.iter
+    (fun (u, v) ->
+      out.(u) <- v :: out.(u);
+      indeg.(v) <- indeg.(v) + 1)
+    arcs;
+  let queue = Queue.create () in
+  Array.iteri (fun v d -> if d = 0 then Queue.add v queue) indeg;
+  let seen = ref 0 in
+  while not (Queue.is_empty queue) do
+    let u = Queue.pop queue in
+    incr seen;
+    List.iter
+      (fun v ->
+        indeg.(v) <- indeg.(v) - 1;
+        if indeg.(v) = 0 then Queue.add v queue)
+      out.(u)
+  done;
+  !seen = n
 
 let prop_lr_instances_vs_topo =
   QCheck.Test.make ~name:"lr instances are yes iff the digraph is a DAG" ~count:40
@@ -149,64 +194,7 @@ let prop_lr_instances_vs_topo =
       let path, arcs = if yes then Gen.lr_yes ~n seed else Gen.lr_no ~n seed in
       let inst = { Lr_sorting.n; path; arcs } in
       let path_arcs = List.init (n - 1) (fun i -> (path.(i), path.(i + 1))) in
-      let d = Digraph.create ~n (path_arcs @ arcs) in
-      Lr_sorting.is_yes_instance inst = Digraph.is_acyclic d)
-
-(* ---- amplification -------------------------------------------------------------- *)
-
-let test_amplify_completeness () =
-  let g, w = Gen.path_outerplanar ~n:60 1 in
-  let a =
-    Amplify.run ~reps:3 ~seed:5
-      ~run:(fun ~seed ->
-        Path_outerplanarity.run ~seed ~prover:Path_outerplanarity.Honest
-          { Path_outerplanarity.graph = g; witness = Some w })
-      ~verdict:(fun r -> r.Path_outerplanarity.verdict)
-      ~stats:(fun r -> r.Path_outerplanarity.stats)
-  in
-  Alcotest.(check bool) "accepts" true a.Amplify.verdict.Dip.accepted;
-  Alcotest.(check int) "3 runs" 3 a.Amplify.accepting_runs;
-  Alcotest.(check int) "rounds unchanged" 5 a.Amplify.stats.Dip.interaction_rounds
-
-let test_amplify_soundness_boost () =
-  (* single-run escapes vs amplified escapes of the weak ST verification *)
-  let bad_parent = Array.init 30 (fun v -> if v = 0 || v = 15 then -1 else v - 1) in
-  let g = Graph.path_graph 30 in
-  let escapes reps =
-    let e = ref 0 in
-    for seed = 0 to 49 do
-      let a =
-        Amplify.run ~reps ~seed
-          ~run:(fun ~seed -> Spanning_tree_verify.run ~seed ~reps:1 g ~parent:bad_parent)
-          ~verdict:fst ~stats:snd
-      in
-      if a.Amplify.verdict.Dip.accepted then incr e
-    done;
-    !e
-  in
-  let e1 = escapes 1 and e4 = escapes 4 in
-  Alcotest.(check bool) "amplification reduces escapes" true (e4 <= e1);
-  Alcotest.(check int) "no escapes at 4 reps" 0 e4
-
-let test_amplify_stats_add () =
-  let g, w = Gen.path_outerplanar ~n:40 2 in
-  let one =
-    (Path_outerplanarity.run ~seed:3 ~prover:Path_outerplanarity.Honest
-       { Path_outerplanarity.graph = g; witness = Some w })
-      .Path_outerplanarity.stats
-  in
-  let a =
-    Amplify.run ~reps:4 ~seed:3
-      ~run:(fun ~seed ->
-        Path_outerplanarity.run ~seed ~prover:Path_outerplanarity.Honest
-          { Path_outerplanarity.graph = g; witness = Some w })
-      ~verdict:(fun r -> r.Path_outerplanarity.verdict)
-      ~stats:(fun r -> r.Path_outerplanarity.stats)
-  in
-  Alcotest.(check int) "proof sizes add" (4 * one.Dip.proof_size_bits) a.Amplify.stats.Dip.proof_size_bits
-
-let test_amplify_error_formula () =
-  Alcotest.(check (float 1e-9)) "error" 0.001 (Amplify.soundness_error ~single:0.1 ~reps:3)
+      Lr_sorting.is_yes_instance inst = is_acyclic ~n (path_arcs @ arcs))
 
 (* ---- per-phase stats ---------------------------------------------------------- *)
 
@@ -225,7 +213,7 @@ let test_per_phase_shape () =
     (max_phase >= r.Lr_sorting.stats.Dip.proof_size_bits)
 
 let () =
-  Alcotest.run "io_amplify"
+  Alcotest.run "io"
     [
       ( "graph-io",
         [
@@ -237,24 +225,13 @@ let () =
           Alcotest.test_case "read_file range error line number" `Quick
             test_read_file_range_error;
           Alcotest.test_case "read_file streams a large file" `Quick test_read_file_streams_large;
+          Alcotest.test_case "size cap" `Quick test_size_cap;
           Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
           Alcotest.test_case "dot" `Quick test_dot_output;
           qtest prop_io_roundtrip;
         ] );
       ( "dual",
         [ Alcotest.test_case "cube/octahedron" `Quick test_dual_cube; qtest prop_dual_planar ] );
-      ( "topological-sort",
-        [
-          Alcotest.test_case "dag" `Quick test_topo_sort_dag;
-          Alcotest.test_case "cycle" `Quick test_topo_sort_cycle;
-          qtest prop_lr_instances_vs_topo;
-        ] );
-      ( "amplify",
-        [
-          Alcotest.test_case "completeness" `Quick test_amplify_completeness;
-          Alcotest.test_case "soundness boost" `Quick test_amplify_soundness_boost;
-          Alcotest.test_case "stats add" `Quick test_amplify_stats_add;
-          Alcotest.test_case "error formula" `Quick test_amplify_error_formula;
-        ] );
+      ("topological-sort", [ qtest prop_lr_instances_vs_topo ]);
       ("per-phase", [ Alcotest.test_case "shape" `Quick test_per_phase_shape ]);
     ]

@@ -284,53 +284,56 @@ let test_unsafe_sub_gate () =
   let f = List.find (fun f -> String.equal f.Report.rule Refine.rule_index) findings in
   Alcotest.(check bool) "explains why" true (contains f.Report.msg "not reached")
 
-let test_flat_read_gate () =
-  (* Enc.int accumulates an exact width, so a read inside the encoded
-     prefix proves through the to_bits transfer *)
+let test_unsafe_int_gate () =
+  (* Writer.int accumulates an exact width, so a field read inside the
+     encoded prefix proves through the contents transfer *)
   let ok =
     "let run _n =\n\
-    \  let e = Bits_flat.Enc.create 16 in\n\
-    \  Bits_flat.Enc.int e ~width:8 0;\n\
-    \  Bits_flat.unsafe_int (Bits_flat.Enc.to_bits e) ~pos:1 ~width:4\n"
+    \  let w = Bits.Writer.create ~capacity:16 () in\n\
+    \  Bits.Writer.int w ~width:8 0;\n\
+    \  Bits.unsafe_int (Bits.Writer.contents w) ~pos:1 ~width:4\n"
   in
   let r = analyze ok in
-  Alcotest.(check (list string)) "in-range flat read clean" [] (rules_of r.Refine.findings);
+  Alcotest.(check (list string)) "in-range field read clean" [] (rules_of r.Refine.findings);
   Alcotest.(check bool)
     "and recorded as proved safe" true
-    (List.exists (fun s -> contains s.Refine.sdesc "Bits_flat.unsafe_int") r.Refine.safe);
+    (List.exists (fun s -> contains s.Refine.sdesc "Bits.unsafe_int") r.Refine.safe);
   (* reached but unprovable: the source length is opaque *)
-  let findings = check "let run b = Bits_flat.unsafe_int b ~pos:0 ~width:4\n" in
+  let findings = check "let run b = Bits.unsafe_int b ~pos:0 ~width:4\n" in
   Alcotest.(check bool) "opaque source length is a finding" true
     (has_rule Refine.rule_index findings);
   let f = List.find (fun f -> String.equal f.Report.rule Refine.rule_index) findings in
   Alcotest.(check bool)
     "finding points at the checked reader" true
-    (contains f.Report.msg "Bits_flat.read_int");
+    (contains f.Report.msg "Bits.read_int");
   (* never reached by the evaluator: the syntactic gate fires *)
-  let findings = check "let helper b = Bits_flat.unsafe_int b ~pos:0 ~width:4\n" in
-  Alcotest.(check bool) "unreached flat site gated" true (has_rule Refine.rule_index findings)
+  let findings = check "let helper b = Bits.unsafe_int b ~pos:0 ~width:4\n" in
+  Alcotest.(check bool) "unreached field read gated" true (has_rule Refine.rule_index findings)
 
-let test_flat_encoder_budget () =
-  (* the Enc transfers track accumulated width, so flat-encoded labels
-     participate in the budget rule exactly like Bits.Writer ones *)
-  let flat_fixture width =
+let test_writer_reset_budget () =
+  (* the Writer transfers track accumulated width and [reset] rewinds it,
+     so a reset-reused writer is charged per label: the 4096 bits written
+     before the first reset never reach a recorded label *)
+  let fixture width =
     Printf.sprintf
       "let run n =\n\
       \  let meter = Dip.meter () in\n\
+      \  let w = Bits.Writer.create ~capacity:64 () in\n\
+      \  Bits.Writer.int w ~width:4096 0;\n\
       \  Dip.record_prover meter\n\
       \    (Array.init n (fun _ ->\n\
-      \       let e = Bits_flat.Enc.create 8 in\n\
-      \       Bits_flat.Enc.int e ~width:%s 1;\n\
-      \       Bits_flat.Enc.bool e true;\n\
-      \       Bits_flat.Enc.to_bits e));\n\
+      \       Bits.Writer.reset w;\n\
+      \       Bits.Writer.int w ~width:%s 1;\n\
+      \       Bits.Writer.bool w true;\n\
+      \       Bits.Writer.contents w));\n\
       \  Dip.stats meter\n"
       width
   in
   Alcotest.(check (list string))
-    "5-bit flat label within 40*loglog + 60" []
-    (rules_of (check ~declared:wide (flat_fixture "4")));
-  let findings = check ~declared:wide (flat_fixture "4096") in
-  Alcotest.(check bool) "4097-bit flat label caught" true (has_rule Refine.rule_budget findings)
+    "5-bit reset-reused label within 40*loglog + 60" []
+    (rules_of (check ~declared:wide (fixture "4")));
+  let findings = check ~declared:wide (fixture "4096") in
+  Alcotest.(check bool) "4097-bit label caught" true (has_rule Refine.rule_budget findings)
 
 (* ---- mutation checks: the verdict flips both ways ---------------------- *)
 
@@ -472,8 +475,8 @@ let () =
           Alcotest.test_case "proved safe" `Quick test_index_safe;
           Alcotest.test_case "provably out of bounds" `Quick test_index_out_of_bounds;
           Alcotest.test_case "unsafe_sub gate" `Quick test_unsafe_sub_gate;
-          Alcotest.test_case "flat read gate" `Quick test_flat_read_gate;
-          Alcotest.test_case "flat encoder budget" `Quick test_flat_encoder_budget;
+          Alcotest.test_case "flat read gate" `Quick test_unsafe_int_gate;
+          Alcotest.test_case "flat encoder budget" `Quick test_writer_reset_budget;
         ] );
       ( "mutation",
         [

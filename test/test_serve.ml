@@ -1,16 +1,18 @@
-(* The batched verification service and its flat label codec: differential
-   flat-vs-checked equality (QCheck programs, envelope widths, the pinned
-   transcript corpus, full serve streams), response-log determinism across
+(* The batched verification service and the label codec it runs on:
+   Bits.Writer/Reader (the flat byte-buffer encoder and decoder) against
+   references built from the Bits primitives (QCheck programs, envelope
+   widths), the pinned transcript corpus, response-log determinism across
    DIPP_JOBS and cache settings against the committed golden stream,
    malformed-request rejection, and the prepared-instance cache's
    schedule-independent eviction boundary. *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
-(* ---- flat codec vs checked Writer/Reader ------------------------------ *)
+(* ---- Writer/Reader vs the Bits primitives ----------------------------- *)
 
-(* a random "program" of int fields; both serializers must agree bit for
-   bit, and both decoders must read the same values back *)
+(* a random "program" of int fields; the flat encoder must write exactly
+   the concatenation of the per-field Bits.of_int images, and the decoder
+   must read back what Bits.to_int reads off the matching slice *)
 let field_program =
   QCheck.(
     list_of_size Gen.(int_range 1 24)
@@ -18,56 +20,50 @@ let field_program =
 
 let values_of fields = List.map (fun (w, v) -> (w, if w = 0 then 0 else v land ((1 lsl w) - 1))) fields
 
-let prop_flat_encoder_matches_writer =
-  QCheck.Test.make ~name:"serve: flat encoder agrees with Bits.Writer" ~count:200 field_program
-    (fun fields ->
-      let fields = values_of fields in
-      let w = Bits.Writer.create () in
-      List.iter (fun (width, v) -> Bits.Writer.int w ~width v) fields;
-      let checked = Bits.Writer.contents w in
-      let e = Bits_flat.Enc.create 16 in
-      List.iter (fun (width, v) -> Bits_flat.Enc.int e ~width v) fields;
-      Bits.equal checked (Bits_flat.Enc.to_bits e))
+let reference fields = Bits.concat (List.map (fun (width, v) -> Bits.of_int ~width v) fields)
 
-let prop_flat_decoder_matches_reader =
-  QCheck.Test.make ~name:"serve: flat decoder agrees with Bits.Reader" ~count:200 field_program
-    (fun fields ->
+let write w fields =
+  List.iter (fun (width, v) -> Bits.Writer.int w ~width v) fields;
+  Bits.Writer.contents w
+
+let prop_writer_matches_reference =
+  QCheck.Test.make ~name:"serve: flat encoder agrees with Bits.of_int/concat" ~count:200
+    field_program (fun fields ->
       let fields = values_of fields in
-      let w = Bits.Writer.create () in
-      List.iter (fun (width, v) -> Bits.Writer.int w ~width v) fields;
-      let b = Bits.Writer.contents w in
+      (* a small capacity makes long programs climb the grow ladder *)
+      Bits.equal (reference fields) (write (Bits.Writer.create ~capacity:16 ()) fields))
+
+let prop_reader_matches_reference =
+  QCheck.Test.make ~name:"serve: flat decoder agrees with Bits.to_int/sub" ~count:200
+    field_program (fun fields ->
+      let fields = values_of fields in
+      let b = reference fields in
       let r = Bits.Reader.of_bits b in
-      let d = Bits_flat.Dec.of_bits b in
+      let pos = ref 0 in
       List.for_all
         (fun (width, v) ->
-          let rv = Bits.Reader.int r ~width and dv = Bits_flat.Dec.int d ~width in
-          rv = v && dv = v)
+          let expect = Bits.to_int (Bits.sub b ~pos:!pos ~len:width) in
+          let fv = Bits.read_int b ~pos:!pos ~width in
+          pos := !pos + width;
+          expect = v && fv = v && Bits.Reader.int r ~width = v)
         fields
-      && Bits.Reader.remaining r = 0
-      && Bits_flat.Dec.remaining d = 0)
+      && Bits.Reader.remaining r = 0)
 
-let prop_flat_reset_reuse =
+let prop_writer_reset_reuse =
   (* reuse after reset must not leak bits from the previous encoding *)
   QCheck.Test.make ~name:"serve: flat encoder reset reuses the buffer cleanly" ~count:100
     QCheck.(pair field_program field_program)
     (fun (a, b) ->
       let a = values_of a and b = values_of b in
-      let encode_fresh fields =
-        let e = Bits_flat.Enc.create 16 in
-        List.iter (fun (width, v) -> Bits_flat.Enc.int e ~width v) fields;
-        Bits_flat.Enc.to_bits e
-      in
-      let e = Bits_flat.Enc.create 16 in
-      List.iter (fun (width, v) -> Bits_flat.Enc.int e ~width v) a;
-      ignore (Bits_flat.Enc.to_bits e);
-      Bits_flat.Enc.reset e;
-      List.iter (fun (width, v) -> Bits_flat.Enc.int e ~width v) b;
-      Bits.equal (encode_fresh b) (Bits_flat.Enc.to_bits e))
+      let w = Bits.Writer.create ~capacity:16 () in
+      ignore (write w a);
+      Bits.Writer.reset w;
+      Bits.equal (reference b) (write w b))
 
 let test_envelope_width_roundtrips () =
   (* the width a label needs to meet each family's registry envelope, at a
      spread of sizes: encode/decode the boundary values at exactly those
-     widths through both codecs *)
+     widths, against the Bits.of_int reference *)
   let bits_for v =
     let rec go w = if v lsr w = 0 then w else go (w + 1) in
     max 1 (go 0)
@@ -84,19 +80,21 @@ let test_envelope_width_roundtrips () =
               let mask = if width = 62 then max_int else (1 lsl width) - 1 in
               List.iter
                 (fun v ->
-                  let w = Bits.Writer.create () in
+                  let w = Bits.Writer.create ~capacity:width () in
                   Bits.Writer.int w ~width v;
-                  let checked = Bits.Writer.contents w in
-                  let e = Bits_flat.Enc.create width in
-                  Bits_flat.Enc.int e ~width v;
+                  let b = Bits.Writer.contents w in
                   Alcotest.(check bool)
                     (Printf.sprintf "%s n=%d width=%d v=%d encodes equal" row_id n width v)
                     true
-                    (Bits.equal checked (Bits_flat.Enc.to_bits e));
+                    (Bits.equal (Bits.of_int ~width v) b);
                   Alcotest.(check int)
-                    (Printf.sprintf "%s n=%d width=%d v=%d flat read" row_id n width v)
+                    (Printf.sprintf "%s n=%d width=%d v=%d field read" row_id n width v)
                     v
-                    (Bits_flat.read_int checked ~pos:0 ~width))
+                    (Bits.read_int b ~pos:0 ~width);
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s n=%d width=%d v=%d reader" row_id n width v)
+                    v
+                    (Bits.Reader.int (Bits.Reader.of_bits b) ~width))
                 [ 0; 1; env land mask; mask ])
             [ 16; 64; 256; 1024 ])
     [
@@ -109,13 +107,13 @@ let test_envelope_width_roundtrips () =
       "treewidth2_dip";
     ]
 
-(* ---- flat codec vs the pinned transcript corpus ----------------------- *)
+(* ---- the pinned transcript corpus -------------------------------------- *)
 
 let corpus_seed = 7
 
 let check_frames_equal id (committed : (Dip.phase * Bits.t array) list)
-    (flat : (Dip.phase * Bits.t array) list) =
-  Alcotest.(check int) (id ^ " frame count") (List.length committed) (List.length flat);
+    (fresh : (Dip.phase * Bits.t array) list) =
+  Alcotest.(check int) (id ^ " frame count") (List.length committed) (List.length fresh);
   List.iteri
     (fun i ((ph_c, fr_c), (ph_f, fr_f)) ->
       Alcotest.(check bool) (Printf.sprintf "%s frame %d phase" id i) true (ph_c = ph_f);
@@ -124,31 +122,29 @@ let check_frames_equal id (committed : (Dip.phase * Bits.t array) list)
       Array.iteri
         (fun v b ->
           if not (Bits.equal b fr_f.(v)) then
-            Alcotest.fail (Printf.sprintf "%s frame %d label %d differs under the flat codec" id i v))
+            Alcotest.fail (Printf.sprintf "%s frame %d label %d differs from the corpus" id i v))
         fr_c)
-    (List.combine committed flat)
+    (List.combine committed fresh)
 
-let test_flat_matches_corpus_lr () =
-  (* E1 = lr_yes n=128 gseed=42 recorded at seed 7: re-running with the
-     flat codec must reproduce the committed frames byte for byte *)
+let test_matches_corpus_lr () =
+  (* E1 = lr_yes n=128 gseed=42 recorded at seed 7: re-running must
+     reproduce the committed frames byte for byte *)
   let committed = Trace.of_file "golden/trace/E1.trace" in
   let path, arcs = Gen.lr_yes ~n:128 42 in
   let inst = { Lr_sorting.n = 128; path; arcs } in
   let r =
-    Lr_sorting.run ~seed:corpus_seed ~retain:true ~codec:Bits_flat.Flat
-      ~prover:Lr_sorting.Honest inst
+    Lr_sorting.run ~seed:corpus_seed ~retain:true ~prover:Lr_sorting.Honest inst
   in
   check_frames_equal "E1" committed.Trace.frames r.Lr_sorting.transcript;
   Alcotest.(check bool) "E1 verdict" true r.Lr_sorting.verdict.Dip.accepted;
   Alcotest.(check bool) "E1 stats equal" true (committed.Trace.stats = r.Lr_sorting.stats)
 
-let test_flat_matches_corpus_po () =
+let test_matches_corpus_po () =
   (* E3 = path_outerplanar n=200 gseed=11 recorded at seed 7 *)
   let committed = Trace.of_file "golden/trace/E3.trace" in
   let g, w = Gen.path_outerplanar ~n:200 11 in
   let r =
-    Path_outerplanarity.run ~seed:corpus_seed ~retain:true ~codec:Bits_flat.Flat
-      ~prover:Path_outerplanarity.Honest
+    Path_outerplanarity.run ~seed:corpus_seed ~retain:true ~prover:Path_outerplanarity.Honest
       { Path_outerplanarity.graph = g; witness = Some w }
   in
   check_frames_equal "E3" committed.Trace.frames r.Path_outerplanarity.transcript;
@@ -157,21 +153,21 @@ let test_flat_matches_corpus_po () =
     (committed.Trace.stats = r.Path_outerplanarity.stats)
 
 (* the five composite families, each as (trace id, runner): the runner
-   re-executes the pinned registry instance under the given codec and
-   returns (frames, accepted, stats) *)
+   re-executes the pinned registry instance and returns (frames, accepted,
+   stats) *)
 let composite_runs =
   [
     ( "E4",
-      fun ~codec ~seed ->
+      fun ~seed ->
         let g = Gen.outerplanar ~blocks:4 3 in
         let r =
-          Outerplanarity.run ~seed ~retain:true ~codec ~prover:Outerplanarity.Honest
+          Outerplanarity.run ~seed ~retain:true ~prover:Outerplanarity.Honest
             { Outerplanarity.graph = g }
         in
         (r.Outerplanarity.transcript, r.Outerplanarity.verdict.Dip.accepted, r.Outerplanarity.stats)
     );
     ( "E5",
-      fun ~codec ~seed ->
+      fun ~seed ->
         let g = Gen.planar ~n:64 5 in
         let rot =
           match Gen.embedding g with
@@ -179,82 +175,52 @@ let composite_runs =
           | None -> Alcotest.fail "E5 planar instance has no embedding"
         in
         let r =
-          Planar_embedding.run ~seed ~retain:true ~codec ~prover:Planar_embedding.Honest
+          Planar_embedding.run ~seed ~retain:true ~prover:Planar_embedding.Honest
             { Planar_embedding.graph = g; rot }
         in
         ( r.Planar_embedding.transcript,
           r.Planar_embedding.verdict.Dip.accepted,
           r.Planar_embedding.stats ) );
     ( "E6",
-      fun ~codec ~seed ->
+      fun ~seed ->
         let g = Gen.planar ~n:64 5 in
         let r =
-          Planarity.run ~seed ~retain:true ~codec ~prover:Planarity.Honest { Planarity.graph = g }
+          Planarity.run ~seed ~retain:true ~prover:Planarity.Honest { Planarity.graph = g }
         in
         (r.Planarity.transcript, r.Planarity.verdict.Dip.accepted, r.Planarity.stats) );
     ( "E7",
-      fun ~codec ~seed ->
+      fun ~seed ->
         let tr, g = Gen.series_parallel ~size:64 3 in
         let ears = Series_parallel.ears_of_sp tr in
         let r =
-          Series_parallel_dip.run ~seed ~retain:true ~codec ~prover:Series_parallel_dip.Honest
+          Series_parallel_dip.run ~seed ~retain:true ~prover:Series_parallel_dip.Honest
             { Series_parallel_dip.graph = g; ears = Some ears }
         in
         ( r.Series_parallel_dip.transcript,
           r.Series_parallel_dip.verdict.Dip.accepted,
           r.Series_parallel_dip.stats ) );
     ( "E8",
-      fun ~codec ~seed ->
+      fun ~seed ->
         let g = Gen.treewidth2 ~blocks:4 3 in
         let r =
-          Treewidth2_dip.run ~seed ~retain:true ~codec ~prover:Treewidth2_dip.Honest
+          Treewidth2_dip.run ~seed ~retain:true ~prover:Treewidth2_dip.Honest
             { Treewidth2_dip.graph = g }
         in
         (r.Treewidth2_dip.transcript, r.Treewidth2_dip.verdict.Dip.accepted, r.Treewidth2_dip.stats)
     );
   ]
 
-let test_flat_matches_corpus_composites () =
-  (* E4-E8: the five newly ported families, re-run under the flat codec
-     against the committed frames (seed read back from the trace) *)
+let test_matches_corpus_composites () =
+  (* E4-E8: the five composite families, re-run against the committed
+     frames (seed read back from the trace) *)
   List.iter
     (fun (id, run) ->
       let committed = Trace.of_file ("golden/trace/" ^ id ^ ".trace") in
-      let frames, accepted, stats = run ~codec:Bits_flat.Flat ~seed:committed.Trace.seed in
+      let frames, accepted, stats = run ~seed:committed.Trace.seed in
       check_frames_equal id committed.Trace.frames frames;
       Alcotest.(check bool) (id ^ " verdict") true accepted;
       Alcotest.(check bool) (id ^ " stats equal") true (committed.Trace.stats = stats))
     composite_runs
-
-let test_cross_codec_reexecution_composites () =
-  (* the composite protocols replay by deterministic re-execution (registry
-     semantics): at a fresh seed, a checked run and a flat run must produce
-     the same transcript, verdict, and stats *)
-  List.iter
-    (fun (id, run) ->
-      let fc, ac, sc = run ~codec:Bits_flat.Checked ~seed:13 in
-      let ff, af, sf = run ~codec:Bits_flat.Flat ~seed:13 in
-      check_frames_equal (id ^ " seed=13") fc ff;
-      Alcotest.(check bool) (id ^ " verdicts agree") true (ac = af);
-      Alcotest.(check bool) (id ^ " stats agree") true (sc = sf))
-    composite_runs
-
-let test_flat_replay_cross_codec () =
-  (* a transcript recorded under one codec replays under the other *)
-  let path, arcs = Gen.lr_yes ~n:96 5 in
-  let inst = { Lr_sorting.n = 96; path; arcs } in
-  let recorded =
-    Lr_sorting.run ~seed:3 ~retain:true ~codec:Bits_flat.Checked ~prover:Lr_sorting.Honest inst
-  in
-  (match Lr_sorting.replay ~codec:Bits_flat.Flat inst recorded.Lr_sorting.transcript with
-  | Ok v -> Alcotest.(check bool) "flat replay of checked recording" true v.Dip.accepted
-  | Error e -> Alcotest.fail ("flat replay diverged: " ^ e));
-  let recorded_flat =
-    Lr_sorting.run ~seed:3 ~retain:true ~codec:Bits_flat.Flat ~prover:Lr_sorting.Honest inst
-  in
-  match Lr_sorting.replay ~codec:Bits_flat.Checked inst recorded_flat.Lr_sorting.transcript with
-  | Ok v -> Alcotest.(check bool) "checked replay of flat recording" true v.Dip.accepted
-  | Error e -> Alcotest.fail ("checked replay diverged: " ^ e)
 
 (* ---- the serve stream ------------------------------------------------- *)
 
@@ -278,10 +244,10 @@ let golden_responses () =
   | [ d ] -> (Array.of_list log, String.sub d 8 (String.length d - 8))
   | _ -> Alcotest.fail "golden responses must end with one digest line"
 
-let run_stream ?jobs ?codec reqs =
+let run_stream ?jobs reqs =
   Label_cache.reset ();
   Serve.Prepared_cache.reset ();
-  let out = Serve.execute ?jobs ?codec reqs in
+  let out = Serve.execute ?jobs reqs in
   (Serve.response_log out, out)
 
 let test_serve_matches_golden () =
@@ -307,22 +273,7 @@ let test_serve_deterministic_across_jobs_and_cache () =
   let log_nc, _ = run_stream ~jobs:2 reqs in
   Unix.putenv "DIPP_LABEL_CACHE" "1";
   Alcotest.(check string) "digest with the label cache disabled" digest
-    (Serve.log_digest log_nc);
-  List.iter
-    (fun jobs ->
-      let log_flat, _ = run_stream ~jobs ~codec:Bits_flat.Flat reqs in
-      Alcotest.(check string)
-        (Printf.sprintf "digest under the flat codec at jobs=%d" jobs)
-        digest (Serve.log_digest log_flat))
-    [ 1; 2; 4 ]
-
-let test_serve_codecs_agree_everywhere () =
-  (* beyond the digest: the full response records must be equal *)
-  let reqs = golden_stream () in
-  let _, out_c = run_stream ~jobs:2 ~codec:Bits_flat.Checked reqs in
-  let _, out_f = run_stream ~jobs:2 ~codec:Bits_flat.Flat reqs in
-  Alcotest.(check bool) "checked and flat responses structurally equal" true
-    (Array.map (fun o -> o.Serve.response) out_c = Array.map (fun o -> o.Serve.response) out_f)
+    (Serve.log_digest log_nc)
 
 let test_serve_cache_counters_deterministic () =
   let reqs = golden_stream () in
@@ -491,30 +442,25 @@ let () =
     [
       ( "flat-codec",
         [
-          qtest prop_flat_encoder_matches_writer;
-          qtest prop_flat_decoder_matches_reader;
-          qtest prop_flat_reset_reuse;
+          qtest prop_writer_matches_reference;
+          qtest prop_reader_matches_reference;
+          qtest prop_writer_reset_reuse;
           Alcotest.test_case "envelope-width roundtrips" `Quick test_envelope_width_roundtrips;
         ] );
       ( "corpus",
         [
           Alcotest.test_case "E1 frames byte-identical under flat" `Quick
-            test_flat_matches_corpus_lr;
+            test_matches_corpus_lr;
           Alcotest.test_case "E3 frames byte-identical under flat" `Quick
-            test_flat_matches_corpus_po;
+            test_matches_corpus_po;
           Alcotest.test_case "E4-E8 frames byte-identical under flat" `Quick
-            test_flat_matches_corpus_composites;
-          Alcotest.test_case "cross-codec replay" `Quick test_flat_replay_cross_codec;
-          Alcotest.test_case "cross-codec re-execution (composites)" `Quick
-            test_cross_codec_reexecution_composites;
+            test_matches_corpus_composites;
         ] );
       ( "determinism",
         [
           Alcotest.test_case "matches committed golden responses" `Quick test_serve_matches_golden;
           Alcotest.test_case "digest stable across jobs and caches" `Quick
             test_serve_deterministic_across_jobs_and_cache;
-          Alcotest.test_case "codecs agree on full responses" `Quick
-            test_serve_codecs_agree_everywhere;
           Alcotest.test_case "cache counters schedule-independent" `Quick
             test_serve_cache_counters_deterministic;
         ] );

@@ -188,6 +188,86 @@ let test_lr_decision_replay_catches_bit_flip () =
         (Trace_registry.(r.verdict).Dip.accepted = (Trace.verdict_of t).Dip.accepted)
   | Error _ -> ()
 
+let test_lr_strict_decoders () =
+  (* an honest recorded transcript, replayed with one label of each kind
+     made one bit short or one bit long, with an r1 flag of 3, and with a
+     nonzero padding field on an Inner r1 arc: the strict decoders must
+     turn every one into [Error], never an exception or a verdict *)
+  let n = 128 in
+  let path, arcs = Gen.lr_yes ~n 42 in
+  let inst = { Lr_sorting.n; path; arcs } in
+  let frames =
+    (Lr_sorting.run ~seed:corpus_seed ~retain:true ~prover:Lr_sorting.Honest inst)
+      .Lr_sorting.transcript
+  in
+  (match Lr_sorting.replay inst frames with
+  | Ok v -> Alcotest.(check bool) "honest transcript replays to accept" true v.Dip.accepted
+  | Error e -> Alcotest.fail ("honest transcript: " ^ e));
+  let leftmost = path.(0) in
+  (* the leftmost node draws r, r' and (as its block's leader) r_b in round
+     2 and z in round 4, so every coin label tampered below is non-empty *)
+  let tamper ~frame ~index f =
+    List.mapi
+      (fun i (ph, arr) ->
+        if i <> frame then (ph, arr)
+        else begin
+          let arr = Array.copy arr in
+          arr.(index) <- f arr.(index);
+          (ph, arr)
+        end)
+      frames
+  in
+  let expect_error name frames =
+    match Lr_sorting.replay inst frames with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail (name ^ ": replay returned a verdict")
+    | exception e -> Alcotest.fail (name ^ ": replay raised " ^ Printexc.to_string e)
+  in
+  let short b = Bits.sub b ~pos:0 ~len:(Bits.length b - 1) in
+  let long b = Bits.append b (Bits.of_bool false) in
+  let arc0 = n in
+  List.iter
+    (fun (kind, frame, index) ->
+      expect_error (kind ^ " one bit short") (tamper ~frame ~index short);
+      expect_error (kind ^ " one bit long") (tamper ~frame ~index long))
+    [
+      ("r1 node", 0, leftmost);
+      ("r1 arc", 0, arc0);
+      ("coins2", 1, leftmost);
+      ("r3 node", 2, leftmost);
+      ("r3 arc", 2, arc0);
+      ("coins4", 3, leftmost);
+      ("r5 node", 4, leftmost);
+    ];
+  (* r1 node: j (wi bits), bit1, bit2, then the 2-bit flag *)
+  let pa = Lr_sorting.Params.make n in
+  let bits_for x =
+    let rec go w = if 1 lsl w > x then w else go (w + 1) in
+    max 1 (go 1)
+  in
+  let flag_pos = bits_for (2 * pa.Lr_sorting.Params.block) + 2 in
+  let set_bit b i =
+    Bits.concat
+      [
+        Bits.sub b ~pos:0 ~len:i;
+        Bits.of_bool true;
+        Bits.sub b ~pos:(i + 1) ~len:(Bits.length b - i - 1);
+      ]
+  in
+  expect_error "r1 flag = 3"
+    (tamper ~frame:0 ~index:leftmost (fun b -> set_bit (set_bit b flag_pos) (flag_pos + 1)));
+  (* r1 arc: an outer bit, then the index field, which an Inner arc pads
+     with zeros *)
+  let r1 = snd (List.hd frames) in
+  let inner =
+    List.find_opt (fun k -> not (Bits.get r1.(n + k) 0)) (List.init (List.length arcs) Fun.id)
+  in
+  match inner with
+  | None -> Alcotest.fail "the honest instance has no Inner arc to tamper with"
+  | Some k ->
+      expect_error "Inner r1 arc with nonzero padding"
+        (tamper ~frame:0 ~index:(n + k) (fun b -> set_bit b (Bits.length b - 1)))
+
 (* ---- the committed golden corpus -------------------------------------- *)
 
 let corpus_dir = "golden/trace"
@@ -318,6 +398,7 @@ let () =
           Alcotest.test_case "replay modes" `Quick test_decision_replay_modes;
           Alcotest.test_case "forged traces rejected" `Quick test_replay_rejects_forged_frames;
           Alcotest.test_case "lr bit-flip" `Quick test_lr_decision_replay_catches_bit_flip;
+          Alcotest.test_case "lr strict decoders" `Quick test_lr_strict_decoders;
         ] );
       ( "corpus",
         [

@@ -59,71 +59,77 @@ let test_bits_range_errors () =
     (Invalid_argument "Bits.sub: slice [-1, -1+2) out of range for length 5")
     (fun () -> ignore (Bits.sub b ~pos:(-1) ~len:2))
 
-let test_bits_flat_range_errors () =
-  (* the flat reader keeps the named-index error convention of the checked
-     Bits accessors: same [pos, pos+len) slice format, same length report *)
+let test_bits_field_range_errors () =
+  (* the random-access field read keeps the named-index error convention
+     of the checked accessors: same [pos, pos+len) slice format, same
+     length report *)
   let b = Bits.of_string "10110" in
-  Alcotest.check_raises "flat slice past the end"
-    (Invalid_argument "Bits_flat.read_int: slice [3, 3+4) out of range for length 5")
-    (fun () -> ignore (Bits_flat.read_int b ~pos:3 ~width:4));
-  Alcotest.check_raises "flat negative slice position"
-    (Invalid_argument "Bits_flat.read_int: slice [-1, -1+2) out of range for length 5")
-    (fun () -> ignore (Bits_flat.read_int b ~pos:(-1) ~width:2));
-  let d = Bits_flat.Dec.of_bits b in
-  Alcotest.check_raises "flat decoder underflow is Reader.Underflow" Bits.Reader.Underflow
-    (fun () -> ignore (Bits_flat.Dec.int d ~width:6));
-  (* same terse convention as Bits.of_int, whose encoder these mirror *)
-  Alcotest.check_raises "flat encoder width validation"
-    (Invalid_argument "Bits_flat.Enc.int: width")
-    (fun () -> ignore (Bits_flat.Enc.int (Bits_flat.Enc.create 8) ~width:63 1));
-  Alcotest.check_raises "flat encoder value validation"
-    (Invalid_argument "Bits_flat.Enc.int: value")
-    (fun () -> ignore (Bits_flat.Enc.int (Bits_flat.Enc.create 8) ~width:2 4))
+  Alcotest.check_raises "field read past the end"
+    (Invalid_argument "Bits.read_int: slice [3, 3+4) out of range for length 5")
+    (fun () -> ignore (Bits.read_int b ~pos:3 ~width:4));
+  Alcotest.check_raises "negative field position"
+    (Invalid_argument "Bits.read_int: slice [-1, -1+2) out of range for length 5")
+    (fun () -> ignore (Bits.read_int b ~pos:(-1) ~width:2));
+  let r = Bits.Reader.of_bits b in
+  Alcotest.check_raises "reader past the end is Underflow" Bits.Reader.Underflow
+    (fun () -> ignore (Bits.Reader.int r ~width:6));
+  (* same terse convention as Bits.of_int, whose contract the writer keeps *)
+  Alcotest.check_raises "writer width validation"
+    (Invalid_argument "Bits.Writer.int: width")
+    (fun () -> ignore (Bits.Writer.int (Bits.Writer.create ()) ~width:63 1));
+  Alcotest.check_raises "writer value validation"
+    (Invalid_argument "Bits.Writer.int: value")
+    (fun () -> ignore (Bits.Writer.int (Bits.Writer.create ()) ~width:2 4))
 
-let test_bits_flat_agrees_with_checked () =
-  (* in range, the flat reader agrees with the checked Reader bit for bit *)
-  let w = Bits.Writer.create () in
-  Bits.Writer.int w ~width:7 93;
-  Bits.Writer.bool w true;
-  Bits.Writer.int w ~width:3 5;
-  let b = Bits.Writer.contents w in
-  Alcotest.(check int) "read_int at 0" 93 (Bits_flat.read_int b ~pos:0 ~width:7);
-  Alcotest.(check int) "read_int mid" 5 (Bits_flat.read_int b ~pos:8 ~width:3);
-  Alcotest.(check int) "unsafe_int agrees in range" (Bits_flat.read_int b ~pos:1 ~width:9)
-    (Bits_flat.unsafe_int b ~pos:1 ~width:9);
-  let d = Bits_flat.Dec.of_bits b in
-  Alcotest.(check int) "dec int" 93 (Bits_flat.Dec.int d ~width:7);
-  Alcotest.(check bool) "dec bool" true (Bits_flat.Dec.bool d);
-  Alcotest.(check int) "dec second int" 5 (Bits_flat.Dec.int d ~width:3);
-  Alcotest.(check int) "dec drained" 0 (Bits_flat.Dec.remaining d)
+let test_bits_field_reads_agree () =
+  (* in range, the byte-buffer field reads agree with the checked
+     Bits.to_int (Bits.sub ...) reference bit for bit *)
+  let b = Bits.of_string "10111011101" in
+  let reference ~pos ~width = Bits.to_int (Bits.sub b ~pos ~len:width) in
+  Alcotest.(check int) "read_int at 0" 93 (Bits.read_int b ~pos:0 ~width:7);
+  Alcotest.(check int) "read_int mid" 5 (Bits.read_int b ~pos:8 ~width:3);
+  for pos = 0 to Bits.length b do
+    for width = 0 to Bits.length b - pos do
+      Alcotest.(check int)
+        (Printf.sprintf "read_int pos=%d width=%d" pos width)
+        (reference ~pos ~width) (Bits.read_int b ~pos ~width);
+      Alcotest.(check int)
+        (Printf.sprintf "unsafe_int pos=%d width=%d" pos width)
+        (reference ~pos ~width) (Bits.unsafe_int b ~pos ~width)
+    done
+  done;
+  let r = Bits.Reader.of_bits b in
+  Alcotest.(check int) "reader int" 93 (Bits.Reader.int r ~width:7);
+  Alcotest.(check bool) "reader bool" true (Bits.Reader.bool r);
+  Alcotest.(check int) "reader second int" 5 (Bits.Reader.int r ~width:3);
+  Alcotest.(check int) "reader drained" 0 (Bits.Reader.remaining r)
 
-let test_bits_flat_capacity_reuse () =
-  (* [?capacity] preallocates ahead of the per-label hint; reset-reuse on a
-     preallocated encoder must produce exactly what a fresh exact-size
-     encoder produces, both under and over the hint *)
-  let encode enc fields =
-    List.iter (fun (width, v) -> Bits_flat.Enc.int enc ~width v) fields;
-    Bits_flat.Enc.to_bits enc
+let test_bits_writer_capacity_reuse () =
+  (* [?capacity] preallocates ahead of the label; reset-reuse on a
+     preallocated writer must produce exactly the Bits.of_int reference,
+     both under and over the capacity *)
+  let encode w fields =
+    List.iter (fun (width, v) -> Bits.Writer.int w ~width v) fields;
+    Bits.Writer.contents w
   in
-  let fresh fields =
-    encode (Bits_flat.Enc.create (List.fold_left (fun a (w, _) -> a + w) 0 fields)) fields
-  in
+  let reference fields = Bits.concat (List.map (fun (width, v) -> Bits.of_int ~width v) fields) in
   let small = [ (3, 5); (1, 1) ] in
   let large = [ (30, 12345); (30, 999_999); (30, 7) ] in
-  let e = Bits_flat.Enc.create ~capacity:256 4 in
-  Alcotest.(check bool) "preallocated encoder, small label" true
-    (Bits.equal (fresh small) (encode e small));
-  Bits_flat.Enc.reset e;
-  Alcotest.(check bool) "reset-reuse past the hint stays within capacity" true
-    (Bits.equal (fresh large) (encode e large));
-  Bits_flat.Enc.reset e;
+  let w = Bits.Writer.create ~capacity:256 () in
+  Alcotest.(check bool) "preallocated writer, small label" true
+    (Bits.equal (reference small) (encode w small));
+  Alcotest.(check int) "length counts the written bits" 4 (Bits.Writer.length w);
+  Bits.Writer.reset w;
+  Alcotest.(check int) "reset rewinds" 0 (Bits.Writer.length w);
+  Alcotest.(check bool) "reset-reuse with a larger label" true
+    (Bits.equal (reference large) (encode w large));
+  Bits.Writer.reset w;
   Alcotest.(check bool) "reset-reuse back to a small label leaks nothing" true
-    (Bits.equal (fresh small) (encode e small));
-  (* capacity smaller than the hint is inert, and overflowing both still
-     grows transparently *)
-  let tiny = Bits_flat.Enc.create ~capacity:1 2 in
-  Alcotest.(check bool) "growth past hint and capacity" true
-    (Bits.equal (fresh large) (encode tiny large))
+    (Bits.equal (reference small) (encode w small));
+  (* overflowing a tiny capacity grows transparently *)
+  let tiny = Bits.Writer.create ~capacity:1 () in
+  Alcotest.(check bool) "growth past capacity" true
+    (Bits.equal (reference large) (encode tiny large))
 
 let test_bits_unsafe_sub () =
   (* in range, unsafe_sub agrees with sub; past the logical length it
@@ -159,6 +165,47 @@ let prop_bits_append_length =
       let rng = Rng.create (x + (1000 * y)) in
       let a = Bits.random rng (x mod 100) and b = Bits.random rng (y mod 100) in
       Bits.length (Bits.append a b) = Bits.length a + Bits.length b)
+
+(* a mixed bool/int/bits program: the writer equals the Bits.concat of
+   the per-field images, and the reader reads every field back *)
+type field = Fbool of bool | Fint of int * int | Fbits of string
+
+let prop_bits_writer_reader_program =
+  let field =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun b -> Fbool b) bool;
+          map2 (fun w v -> Fint (w, if w = 0 then 0 else v land ((1 lsl w) - 1))) (int_range 0 62) nat;
+          map (fun s -> Fbits s) (string_size ~gen:(oneofl [ '0'; '1' ]) (int_bound 40));
+        ])
+  in
+  QCheck.Test.make ~name:"bits: Writer/Reader programs match the Bits.concat reference" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 24) field))
+    (fun fields ->
+      let image = function
+        | Fbool b -> Bits.of_bool b
+        | Fint (width, v) -> Bits.of_int ~width v
+        | Fbits s -> Bits.of_string s
+      in
+      let w = Bits.Writer.create ~capacity:8 () in
+      List.iter
+        (function
+          | Fbool b -> Bits.Writer.bool w b
+          | Fint (width, v) -> Bits.Writer.int w ~width v
+          | Fbits s -> Bits.Writer.bits w (Bits.of_string s))
+        fields;
+      let b = Bits.Writer.contents w in
+      let r = Bits.Reader.of_bits b in
+      Bits.equal b (Bits.concat (List.map image fields))
+      && Bits.Writer.length w = Bits.length b
+      && List.for_all
+           (function
+             | Fbool x -> Bits.Reader.bool r = x
+             | Fint (width, v) -> Bits.Reader.int r ~width = v
+             | Fbits s -> Bits.to_string (Bits.Reader.bits r ~len:(String.length s)) = s)
+           fields
+      && Bits.Reader.remaining r = 0)
 
 (* ---- Min_heap ------------------------------------------------------ *)
 
@@ -412,14 +459,15 @@ let () =
           Alcotest.test_case "writer/reader" `Quick test_bits_writer_reader;
           Alcotest.test_case "reader underflow" `Quick test_bits_reader_underflow;
           Alcotest.test_case "range errors" `Quick test_bits_range_errors;
-          Alcotest.test_case "flat range errors" `Quick test_bits_flat_range_errors;
-          Alcotest.test_case "flat agrees with checked" `Quick test_bits_flat_agrees_with_checked;
-          Alcotest.test_case "flat capacity preallocation" `Quick test_bits_flat_capacity_reuse;
+          Alcotest.test_case "flat range errors" `Quick test_bits_field_range_errors;
+          Alcotest.test_case "flat agrees with checked" `Quick test_bits_field_reads_agree;
+          Alcotest.test_case "flat capacity preallocation" `Quick test_bits_writer_capacity_reuse;
           Alcotest.test_case "unsafe_sub" `Quick test_bits_unsafe_sub;
           Alcotest.test_case "equal" `Quick test_bits_equal;
           qtest prop_bits_string_roundtrip;
           qtest prop_bits_int_roundtrip;
           qtest prop_bits_append_length;
+          qtest prop_bits_writer_reader_program;
         ] );
       ( "min-heap",
         [
