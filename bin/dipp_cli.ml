@@ -60,6 +60,14 @@ let property_arg =
 
 let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Edge-list file.")
 
+(* A malformed edge-list file is bad input, not an internal error: report
+   Graph_io's line-numbered message on one line and exit 2. *)
+let read_graph file =
+  try Graph_io.read_file file
+  with Invalid_argument msg ->
+    Printf.eprintf "dipp: %s\n" msg;
+    exit 2
+
 let gen_graph family ~n ~seed =
   match family with
   | `Path_outerplanar -> fst (Gen.path_outerplanar ~n:(max 4 n) seed)
@@ -90,7 +98,7 @@ let gen_cmd =
 
 let check_cmd =
   let run file prop =
-    let g = Graph_io.read_file file in
+    let g = read_graph file in
     let answer, witness_note =
       match prop with
       | `Path_outerplanar -> (
@@ -133,7 +141,7 @@ let report name (verdict : Dip.verdict) (stats : Dip.stats) =
 
 let prove_cmd =
   let run file prop seed =
-    let g = Graph_io.read_file file in
+    let g = read_graph file in
     match prop with
     | `Path_outerplanar ->
         let r =
@@ -242,7 +250,7 @@ let certify_cmd =
 
 let dot_cmd =
   let run file =
-    let g = Graph_io.read_file file in
+    let g = read_graph file in
     print_string (Graph_io.to_dot g)
   in
   Cmd.v (Cmd.info "dot" ~doc:"Print a DOT rendering of an edge-list file.") Term.(const run $ file_arg)
@@ -423,7 +431,7 @@ let net_run_cmd =
              verification).")
   in
   let run file proto_kind shards jobs partition_seed model_name rate seed =
-    let g = Graph_io.read_file file in
+    let g = read_graph file in
     let parent =
       let p = Traversal.spanning_tree g 0 in
       Array.mapi (fun v pv -> if pv = v then -1 else pv) p

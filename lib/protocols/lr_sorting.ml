@@ -15,11 +15,24 @@ let validate_instance inst =
     inst.path;
   let pos = Array.make n 0 in
   Array.iteri (fun i v -> pos.(v) <- i) inst.path;
+  let heads = Array.make n [] in
   List.iter
     (fun (u, v) ->
       if u < 0 || v < 0 || u >= n || v >= n || u = v then invalid_arg "Lr_sorting: bad arc";
-      if abs (pos.(u) - pos.(v)) = 1 then invalid_arg "Lr_sorting: arc duplicates a path edge")
-    inst.arcs
+      if abs (pos.(u) - pos.(v)) = 1 then invalid_arg "Lr_sorting: arc duplicates a path edge";
+      heads.(u) <- v :: heads.(u))
+    inst.arcs;
+  (* each arc carries its own labels, so a repeat would be a second label
+     for one arc: [last.(v)] is the last tail seen with head [v] *)
+  let last = Array.make n (-1) in
+  Array.iteri
+    (fun u vs ->
+      List.iter
+        (fun v ->
+          if last.(v) = u then invalid_arg "Lr_sorting: repeated arc";
+          last.(v) <- u)
+        vs)
+    heads
 
 let positions inst =
   let pos = Array.make inst.n 0 in
@@ -107,7 +120,6 @@ type r3_node = {
   f2 : int;
   prep : int;  (* phi^b_idx(r') prefix for the commitment scheme *)
 }
-type r3_arc = { jval : int }
 type r5_node = { z_e : int; ph1 : int; ph2 : int; pt1 : int; pt2 : int }
 
 type coins2 = { r : int option; rp : int option; rb : int option }
@@ -183,11 +195,12 @@ let r5_node_bits (pa : Params.t) l =
 
 type prover = Honest | Forge_pairs | Shift_positions | Fake_inner
 
-type arc_decision = D_inner | D_outer of { i : int; j_from_tail : bool }
-
+(* A plan claims a position per block and labels each arc for round 1.
+   The committed value of an outer arc is always phi of its tail block's
+   prefix (round 3). *)
 type plan = {
   claimed_x1 : int array;  (* per block *)
-  decide : (int * int) -> arc_decision;
+  decide : (int * int) -> r1_arc;
 }
 
 (* Most significant-first distinguishing index of x < y (B-bit): the first
@@ -202,42 +215,29 @@ let distinguishing (pa : Params.t) x y =
   in
   go 1
 
-let honest_plan (pa : Params.t) (lay : Layout.t) _inst =
-  let claimed_x1 = Array.init pa.Params.nblocks Fun.id in
-  let decide (u, v) =
-    if lay.Layout.blk.(u) = lay.Layout.blk.(v) then D_inner
-    else
-      match distinguishing pa claimed_x1.(lay.Layout.blk.(u)) claimed_x1.(lay.Layout.blk.(v)) with
-      | Some i -> D_outer { i; j_from_tail = true }
-      | None -> D_outer { i = 1; j_from_tail = true }
-  in
-  { claimed_x1; decide }
+(* The honest commitment between two claims: their distinguishing index. *)
+let outer_by_claims pa xu xv = Outer { i = Option.value ~default:1 (distinguishing pa xu xv) }
 
 (* For a backward arc: the best forged commitment — an index where the tail
    block's bit is 0 and ideally the head block's bit is 1. *)
-let forged_index (pa : Params.t) xu xv =
+let forged (pa : Params.t) xu xv =
   let b = pa.Params.block in
   let bit x j = shift_right_safe x (b - j) land 1 in
   let rec scan pred j = if j > b then None else if pred j then Some j else scan pred (j + 1) in
   match scan (fun j -> bit xu j = 0 && bit xv j = 1) 1 with
-  | Some i -> i
-  | None -> ( match scan (fun j -> bit xu j = 0) 1 with Some i -> i | None -> 1)
+  | Some i -> Outer { i }
+  | None -> Outer { i = Option.value ~default:1 (scan (fun j -> bit xu j = 0) 1) }
 
-let forge_plan (pa : Params.t) (lay : Layout.t) inst =
+(* True claims, honest labels on forward arcs (inner within a block, else
+   the claims' distinguishing index); [backward honest x bu bv] labels an
+   arc from block bu back to block bv. *)
+let plan_with (pa : Params.t) (lay : Layout.t) backward =
   let claimed_x1 = Array.init pa.Params.nblocks Fun.id in
-  let pos = lay.Layout.pos in
+  let honest bu bv = if bu = bv then Inner else outer_by_claims pa claimed_x1.(bu) claimed_x1.(bv) in
   let decide (u, v) =
     let bu = lay.Layout.blk.(u) and bv = lay.Layout.blk.(v) in
-    if pos.(u) < pos.(v) && bu = bv then D_inner
-    else if pos.(u) < pos.(v) then
-      match distinguishing pa claimed_x1.(bu) claimed_x1.(bv) with
-      | Some i -> D_outer { i; j_from_tail = true }
-      | None -> D_outer { i = 1; j_from_tail = true }
-    else
-      (* backward arc: forge *)
-      D_outer { i = forged_index pa claimed_x1.(bu) claimed_x1.(bv); j_from_tail = true }
+    if lay.Layout.pos.(u) < lay.Layout.pos.(v) then honest bu bv else backward honest claimed_x1 bu bv
   in
-  ignore inst;
   { claimed_x1; decide }
 
 let shift_plan (pa : Params.t) (lay : Layout.t) inst =
@@ -249,41 +249,23 @@ let shift_plan (pa : Params.t) (lay : Layout.t) inst =
   | Some (u, v) -> claimed_x1.(lay.Layout.blk.(v)) <- claimed_x1.(lay.Layout.blk.(u)) + 1
   | None -> ());
   let decide (u, v) =
-    let bu = lay.Layout.blk.(u) and bv = lay.Layout.blk.(v) in
-    if bu = bv then
-      if lay.Layout.idx.(u) < lay.Layout.idx.(v) then D_inner
-      else D_outer { i = forged_index pa claimed_x1.(bu) claimed_x1.(bv); j_from_tail = true }
-    else if claimed_x1.(bu) < claimed_x1.(bv) then
-      match distinguishing pa claimed_x1.(bu) claimed_x1.(bv) with
-      | Some i -> D_outer { i; j_from_tail = true }
-      | None -> D_outer { i = 1; j_from_tail = true }
-    else D_outer { i = forged_index pa claimed_x1.(bu) claimed_x1.(bv); j_from_tail = true }
-  in
-  { claimed_x1; decide }
-
-let fake_inner_plan (pa : Params.t) (lay : Layout.t) _inst =
-  let pos = lay.Layout.pos in
-  let claimed_x1 = Array.init pa.Params.nblocks Fun.id in
-  let decide (u, v) =
-    let bu = lay.Layout.blk.(u) and bv = lay.Layout.blk.(v) in
-    if pos.(u) < pos.(v) && bu = bv then D_inner
-    else if pos.(u) < pos.(v) then
-      match distinguishing pa claimed_x1.(bu) claimed_x1.(bv) with
-      | Some i -> D_outer { i; j_from_tail = true }
-      | None -> D_outer { i = 1; j_from_tail = true }
-    else
-      (* backward arc: claim it is inner-block and hope for a tag collision
-         (or, inside one block, an index miracle) *)
-      D_inner
+    let xu = claimed_x1.(lay.Layout.blk.(u)) and xv = claimed_x1.(lay.Layout.blk.(v)) in
+    if lay.Layout.blk.(u) = lay.Layout.blk.(v) then
+      if lay.Layout.idx.(u) < lay.Layout.idx.(v) then Inner else forged pa xu xv
+    else if xu < xv then outer_by_claims pa xu xv
+    else forged pa xu xv
   in
   { claimed_x1; decide }
 
 let plan_for prover pa lay inst =
   match prover with
-  | Honest -> honest_plan pa lay inst
-  | Forge_pairs -> forge_plan pa lay inst
+  | Honest -> plan_with pa lay (fun honest _ bu bv -> honest bu bv)
+  | Forge_pairs -> plan_with pa lay (fun _ x bu bv -> forged pa x.(bu) x.(bv))
   | Shift_positions -> shift_plan pa lay inst
-  | Fake_inner -> fake_inner_plan pa lay inst
+  | Fake_inner ->
+      (* claim a backward arc is inner-block and hope for a tag collision
+         (or, inside one block, an index miracle) *)
+      plan_with pa lay (fun _ _ _ _ -> Inner)
 
 (* ------------------------------------------------------------------ *)
 (* The execution.                                                      *)
@@ -296,46 +278,93 @@ type result = {
   transcript : (Dip.phase * Bits.t array) list;
 }
 
-let compare_pair (a1, b1) (a2, b2) =
-  match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c
-
-module Arc_map = Map.Make (struct
-  type t = int * int
-
-  let compare = compare_pair
-end)
-
-let prefix_upto (pa : Params.t) f x r i =
-  (* phi of the multiset {k <= i : bit k of x is 1} evaluated at r over f *)
+(* The three per-block prefix tables of round 3: entry [b * (B + 1) + i]
+   is phi of the multiset {k <= i : bit k of xs.(b) is 1} evaluated at r
+   over f, so each node field, arc commitment and round-5 phi_left is one
+   lookup.  Indices are clamped to [0, B]. *)
+let prefix_table (pa : Params.t) f xs r =
   let b = pa.Params.block in
-  let acc = ref 1 in
-  for k = 1 to min i b do
-    if shift_right_safe x (b - k) land 1 = 1 then acc := Fp.mul f !acc (Fp.sub f k r)
+  let t = Array.make (Array.length xs * (b + 1)) 1 in
+  Array.iteri
+    (fun blk x ->
+      let base = blk * (b + 1) in
+      for k = 1 to b do
+        let prev = t.(base + k - 1) in
+        t.(base + k) <- (if shift_right_safe x (b - k) land 1 = 1 then Fp.mul f prev (Fp.sub f k r) else prev)
+      done)
+    xs;
+  fun blk i -> t.((blk * (b + 1)) + max 0 (min i b))
+
+(* Encoded element of a committed pair. *)
+let enc (p : Fp.t) i j = ((i - 1) * p.Fp.p) + j
+
+(* acc * (e - z)^m over f: the m copies of one S2 element. *)
+let mul_power f acc e z m =
+  let x = Fp.sub f e z in
+  let acc = ref acc in
+  for _ = 1 to m do
+    acc := Fp.mul f !acc x
   done;
   !acc
+
+(* Per-index scratch for [fold_pairs], covering every index an r1 arc label
+   can carry. *)
+type scratch = { stamp : int array; first : int array; extra : int list array }
+
+let scratch (pa : Params.t) =
+  let k = 1 lsl bits_for (pa.Params.block + 1) in
+  { stamp = Array.make k (-1); first = Array.make k 0; extra = Array.make k [] }
+
+(* Folds [f acc i j fresh] over the distinct committed pairs (i, j) on the
+   outer arcs [ids] of node [v].  While [sc.stamp.(i) = v], [sc.first.(i)]
+   holds the first j met at index i and [sc.extra.(i)] any others; [fresh]
+   is false for a second j at one index (a conflict only a cheating prover
+   makes), so honest labels fold in O(degree) without allocating. *)
+let fold_pairs sc v ~arc_r1 ~arc_j f acc ids =
+  List.fold_left
+    (fun acc k ->
+      match arc_r1.(k) with
+      | Inner -> acc
+      | Outer { i } ->
+          let j = arc_j.(k) in
+          if sc.stamp.(i) <> v then begin
+            sc.stamp.(i) <- v;
+            sc.first.(i) <- j;
+            sc.extra.(i) <- [];
+            f acc i j true
+          end
+          else if sc.first.(i) = j || List.exists (Int.equal j) sc.extra.(i) then acc
+          else begin
+            sc.extra.(i) <- j :: sc.extra.(i);
+            f acc i j false
+          end)
+    acc ids
+
+let unit5 = { z_e = 0; ph1 = 1; ph2 = 1; pt1 = 1; pt2 = 1 }
 
 (* ------------------------------------------------------------------ *)
 (* The per-node decision function.                                     *)
 (*                                                                     *)
 (* Everything a node reads is its own and its path-neighbors' labels   *)
 (* and coins — all present in the five recorded frames — so this is    *)
-(* shared verbatim between the live run and transcript replay.         *)
+(* shared verbatim between the live run and transcript replay.  Arc    *)
+(* labels are read by arc id: the arc's position in [inst.arcs].       *)
 (* ------------------------------------------------------------------ *)
 
 let node_checks (pa : Params.t) inst ~(r1 : r1_node array) ~(r3 : r3_node array)
-    ~(r5 : r5_node array) ~(coins2 : coins2 array) ~(coins4 : coins4 array) ~arc_r1 ~arc_r3 =
+    ~(r5 : r5_node array) ~(coins2 : coins2 array) ~(coins4 : coins4 array) ~arc_r1 ~arc_j =
   let n = inst.n in
   let pos = positions inst in
   let bsize = pa.Params.block in
   let p = pa.Params.p and p2 = pa.Params.p2 in
-  let enc (i, j) = ((i - 1) * p.Fp.p) + j in
-  let dedupe pairs = List.sort_uniq compare_pair pairs in
+  let arcs = Array.of_list inst.arcs in
   let arcs_into = Array.make n [] and arcs_from = Array.make n [] in
-  List.iter
-    (fun (u, v) ->
-      arcs_into.(v) <- (u, v) :: arcs_into.(v);
-      arcs_from.(u) <- (u, v) :: arcs_from.(u))
-    inst.arcs;
+  Array.iteri
+    (fun k (u, v) ->
+      arcs_into.(v) <- k :: arcs_into.(v);
+      arcs_from.(u) <- k :: arcs_from.(u))
+    arcs;
+  let sc_in = scratch pa and sc_out = scratch pa in
   let left_nbr v = if pos.(v) = 0 then None else Some inst.path.(pos.(v) - 1) in
   let right_nbr v = if pos.(v) = n - 1 then None else Some inst.path.(pos.(v) + 1) in
   let same_block_left v =
@@ -345,8 +374,9 @@ let node_checks (pa : Params.t) inst ~(r1 : r1_node array) ~(r3 : r3_node array)
     let own1 = r1.(v) and own3 = r3.(v) and own5 = r5.(v) in
     let ok = ref true in
     let fail () = ok := false in
+    let left = left_nbr v and right = right_nbr v and block_left = same_block_left v in
     (* S: index structure *)
-    (match left_nbr v with
+    (match left with
     | None -> if own1.j <> 1 then fail ()
     | Some u ->
         let ju = r1.(u).j in
@@ -360,23 +390,22 @@ let node_checks (pa : Params.t) inst ~(r1 : r1_node array) ~(r3 : r3_node array)
       | Left_of -> if own1.bit1 <> own1.bit2 then fail ());
       (* neighbour flag pattern, within the bit-carrying prefix of the block *)
       let right_in_bits =
-        match right_nbr v with
+        match right with
         | Some u when r1.(u).j = own1.j + 1 && r1.(u).j <= bsize -> Some u
         | _ -> None
       in
-      let left_in_block = same_block_left v in
       (match own1.flag with
       | Right_of -> (
           match right_in_bits with Some u -> if r1.(u).flag <> Right_of then fail () | None -> ())
       | At_vb ->
           (match right_in_bits with Some u -> if r1.(u).flag <> Right_of then fail () | None -> ());
-          (match left_in_block with Some u -> if r1.(u).flag <> Left_of then fail () | None -> ())
+          (match block_left with Some u -> if r1.(u).flag <> Left_of then fail () | None -> ())
       | Left_of -> (
-          match left_in_block with Some u -> if r1.(u).flag <> Left_of then fail () | None -> ()));
+          match block_left with Some u -> if r1.(u).flag <> Left_of then fail () | None -> ()));
       if own1.j = 1 && own1.flag = Right_of then fail ()
     end;
     (* E1: global broadcasts *)
-    (match left_nbr v with
+    (match left with
     | None ->
         (match coins2.(v).r with Some r0 -> if own3.r_e <> r0 then fail () | None -> fail ());
         (match coins2.(v).rp with Some rp0 -> if own3.rp_e <> rp0 then fail () | None -> fail ())
@@ -387,13 +416,13 @@ let node_checks (pa : Params.t) inst ~(r1 : r1_node array) ~(r3 : r3_node array)
     (if own1.j = 1 then
        match coins2.(v).rb with Some s -> if own3.rb_e <> s then fail () | None -> fail ()
      else
-       match same_block_left v with
+       match block_left with
        | Some u -> if own3.rb_e <> r3.(u).rb_e then fail ()
        | None -> fail ());
     (* E3/E6: prefix chains *)
     let factor field x_bit elem rr = if x_bit && elem <= bsize then Fp.sub field elem rr else 1 in
     let base3 =
-      match same_block_left v with
+      match block_left with
       | Some u -> (r3.(u).pre1, r3.(u).pre2, r3.(u).prep)
       | None -> (1, 1, 1)
     in
@@ -402,65 +431,60 @@ let node_checks (pa : Params.t) inst ~(r1 : r1_node array) ~(r3 : r3_node array)
     if own3.pre2 <> Fp.mul p b2 (factor p own1.bit2 own1.j own3.r_e) then fail ();
     if own3.prep <> Fp.mul p bp (factor p own1.bit1 own1.j own3.rp_e) then fail ();
     (* E4: total claims chain + endpoint pinning *)
-    (match same_block_left v with
+    (match block_left with
     | Some u -> if own3.f1 <> r3.(u).f1 || own3.f2 <> r3.(u).f2 then fail ()
     | None -> ());
     let rightmost_of_block =
-      match right_nbr v with None -> true | Some u -> r1.(u).j = 1
+      match right with None -> true | Some u -> r1.(u).j = 1
     in
     if rightmost_of_block then begin
       if own3.f1 <> own3.pre1 then fail ();
       if own3.f2 <> own3.pre2 then fail ()
     end;
     (* E5: adjacent blocks hold consecutive positions *)
-    (match right_nbr v with
+    (match right with
     | Some u when r1.(u).j = 1 -> if own3.f2 <> r3.(u).f1 then fail ()
     | _ -> ());
     (* E7/E8: arc checks *)
     let my_in = arcs_into.(v) and my_out = arcs_from.(v) in
-    let pair_of a = match Arc_map.find a arc_r1 with Inner -> None | Outer { i } -> Some (i, (Arc_map.find a arc_r3).jval) in
     (* inner arcs *)
-    List.iter
-      (fun (u, w) ->
-        if Arc_map.find (u, w) arc_r1 = Inner then begin
-          if r1.(u).j >= r1.(w).j then fail ();
-          if r3.(u).rb_e <> r3.(w).rb_e then fail ()
-        end)
-      (my_in @ my_out);
-    (* outer arcs: bounds and per-node pair consistency *)
-    let in_pairs = List.filter_map pair_of my_in and out_pairs = List.filter_map pair_of my_out in
-    List.iter (fun (i, _) -> if i < 1 || i > bsize then fail ()) (in_pairs @ out_pairs);
-    let indexes ps = List.sort_uniq Int.compare (List.map fst ps) in
-    let conflict ps =
-      List.exists (fun i -> List.length (List.sort_uniq compare_pair (List.filter (fun (i', _) -> i' = i) ps)) > 1) (indexes ps)
+    let inner_ok k =
+      match arc_r1.(k) with
+      | Outer _ -> true
+      | Inner ->
+          let u, w = arcs.(k) in
+          r1.(u).j < r1.(w).j && r3.(u).rb_e = r3.(w).rb_e
     in
-    if conflict in_pairs || conflict out_pairs then fail ();
-    if List.exists (fun i -> List.mem i (indexes out_pairs)) (indexes in_pairs) then fail ();
+    if not (List.for_all inner_ok my_in && List.for_all inner_ok my_out) then fail ();
     (* M1: z echo *)
     (if own1.j = 1 then
        match coins4.(v).z with Some z -> if own5.z_e <> z then fail () | None -> fail ()
      else
-       match same_block_left v with
+       match block_left with
        | Some u -> if own5.z_e <> r5.(u).z_e then fail ()
        | None -> fail ());
-    (* M2: the four verification-scheme prefix chains *)
-    let base5 =
-      match same_block_left v with
-      | Some u -> (r5.(u).ph1, r5.(u).ph2, r5.(u).pt1, r5.(u).pt2)
-      | None -> (1, 1, 1, 1)
+    (* outer arcs, each distinct committed pair once: index bounds, one
+       pair per index and side, no index on both sides; and the S1
+       products of the verification scheme (M2) *)
+    let l5 = match block_left with Some u -> r5.(u) | None -> unit5 in
+    let s1 sc ~both acc ids =
+      fold_pairs sc v ~arc_r1 ~arc_j
+        (fun acc i j fresh ->
+          if i < 1 || i > bsize || (not fresh) || both i then fail ();
+          Fp.mul p2 acc (Fp.sub p2 (enc p i j) own5.z_e))
+        acc ids
     in
-    let h1, h2, t1, t2 = base5 in
-    let mult acc elems = List.fold_left (fun a e -> Fp.mul p2 a (Fp.sub p2 e own5.z_e)) acc elems in
-    let phi_left_check =
-      (* read from the left neighbour's label (or 1 at the leader) *)
-      match same_block_left v with Some u -> r3.(u).prep | None -> 1
+    if own5.ph1 <> s1 sc_in ~both:(fun _ -> false) l5.ph1 my_in then fail ();
+    if own5.pt1 <> s1 sc_out ~both:(fun i -> sc_in.stamp.(i) = v) l5.pt1 my_out then fail ();
+    (* M2: the S2 products, read from the left neighbour's prefix (or 1 at
+       the leader) *)
+    let phi_left_check = match block_left with Some u -> r3.(u).prep | None -> 1 in
+    let s2 bit m acc =
+      if own1.j <= bsize && own1.bit1 = bit then mul_power p2 acc (enc p own1.j phi_left_check) own5.z_e m
+      else acc
     in
-    let s2h = if own1.j <= bsize && own1.bit1 then List.init own1.m_head (fun _ -> enc (own1.j, phi_left_check)) else [] in
-    let s2t = if own1.j <= bsize && not own1.bit1 then List.init own1.m_tail (fun _ -> enc (own1.j, phi_left_check)) else [] in
-    if own5.ph1 <> mult h1 (List.map enc (dedupe (List.filter_map pair_of my_in))) then fail ();
-    if own5.ph2 <> mult h2 s2h then fail ();
-    if own5.pt1 <> mult t1 (List.map enc (dedupe (List.filter_map pair_of my_out))) then fail ();
-    if own5.pt2 <> mult t2 s2t then fail ();
+    if own5.ph2 <> s2 true own1.m_head l5.ph2 then fail ();
+    if own5.pt2 <> s2 false own1.m_tail l5.pt2 then fail ();
     (* M3: block totals agree *)
     if rightmost_of_block then begin
       if own5.ph1 <> own5.ph2 then fail ();
@@ -484,70 +508,56 @@ let run ?(seed = 0) ?(c = 3) ?block ?(retain = false) ~prover inst =
   let x2 = Array.map (fun x -> x + 1) x1 in
   let bit1_of v = idx.(v) <= bsize && Layout.bit_at lay x1.(blk.(v)) idx.(v) in
   let bit2_of v = idx.(v) <= bsize && Layout.bit_at lay x2.(blk.(v)) idx.(v) in
+  (* arc id = position in [inst.arcs] = frame slot [n + id] *)
+  let arcs = Array.of_list inst.arcs in
 
   (* ---- Round 1 (prover): structure + commitments + multiplicities ---- *)
-  let arc_r1 =
-    List.fold_left
-      (fun m (u, v) ->
-        let d = plan.decide (u, v) in
-        Arc_map.add (u, v)
-          (match d with D_inner -> Inner | D_outer { i; _ } -> Outer { i })
-          m)
-      Arc_map.empty inst.arcs
-  in
-  let decision (u, v) = plan.decide (u, v) in
+  let arc_r1 = Array.map plan.decide arcs in
   (* Multiplicities: for each block b and index i, the number of distinct
      nodes of b holding a *claim-consistent* committed pair with index i, on
      the head side (incoming arcs) and tail side (outgoing arcs). *)
   let m_head = Array.make n 0 and m_tail = Array.make n 0 in
-  let node_at_index = Array.make_matrix pa.Params.nblocks (bsize + 1) (-1) in
-  Array.iteri (fun v i -> if i <= bsize then node_at_index.(blk.(v)).(i) <- v) idx;
-  let bump arr b i = if i >= 1 && i <= bsize && node_at_index.(b).(i) >= 0 then begin
-      let v = node_at_index.(b).(i) in
-      arr.(v) <- arr.(v) + 1
-    end
+  (* credit the node at index i of block b, if the block has one *)
+  let bump arr b i =
+    let q = (b * bsize) + i - 1 in
+    if i >= 1 && i <= bsize && q < n then arr.(inst.path.(q)) <- arr.(inst.path.(q)) + 1
   in
   let claim_prefix_eq bu bv i =
-    let b = bsize in
-    let mask j x = if j = 0 then 0 else shift_right_safe x (b - j) in
-    mask (i - 1) x1.(bu) = mask (i - 1) x1.(bv)
+    i = 1 || shift_right_safe x1.(bu) (bsize - i + 1) = shift_right_safe x1.(bv) (bsize - i + 1)
   in
-  let seen_tail = Hashtbl.create 64 and seen_head = Hashtbl.create 64 in
-  List.iter
-    (fun (u, v) ->
-      match decision (u, v) with
-      | D_inner -> ()
-      | D_outer { i; j_from_tail } ->
+  (* one bit per (side, node, index): set the first time that node's pair
+     at that index is counted *)
+  let counted = Bytes.make (((2 * n * (bsize + 1)) + 7) / 8) '\000' in
+  let first_count side v i =
+    let k = (((2 * v) + side) * (bsize + 1)) + i in
+    let c = Char.code (Bytes.get counted (k lsr 3)) and mask = 1 lsl (k land 7) in
+    c land mask = 0 && (Bytes.set counted (k lsr 3) (Char.chr (c lor mask)); true)
+  in
+  Array.iteri
+    (fun k (u, v) ->
+      match arc_r1.(k) with
+      | Inner -> ()
+      | Outer { i } ->
           let bu = blk.(u) and bv = blk.(v) in
-          let tail_bit_ok = Layout.bit_at lay x1.(bu) i = false && i <= bsize in
-          let head_bit_ok = i <= bsize && Layout.bit_at lay x1.(bv) i in
-          let pref_eq = claim_prefix_eq bu bv i in
-          (* the committed j equals phi of the source block's prefix; it
-             matches block b's own prefix iff it *is* b's prefix (same
-             source) or the claimed prefixes coincide *)
-          let tail_val_ok = j_from_tail || pref_eq in
-          let head_val_ok = (not j_from_tail) || pref_eq in
-          if tail_bit_ok && tail_val_ok && not (Hashtbl.mem seen_tail (u, i)) then begin
-            Hashtbl.add seen_tail (u, i) ();
-            bump m_tail bu i
-          end;
-          if head_bit_ok && head_val_ok && not (Hashtbl.mem seen_head (v, i)) then begin
-            Hashtbl.add seen_head (v, i) ();
-            bump m_head bv i
-          end)
-    inst.arcs;
-  let vb_index b =
-    (* least significant 0 bit of x1.(b), as a 1-based MSB-first index;
-       None if x1 is all ones on B bits *)
-    let x = x1.(b) in
-    let rec go j = if j < 1 then None else if not (Layout.bit_at lay x j) then Some j else go (j - 1) in
-    go bsize
+          (* the committed j is phi of the tail block's prefix: it matches
+             the head block's own prefix iff the claimed prefixes coincide *)
+          if i <= bsize && (not (Layout.bit_at lay x1.(bu) i)) && first_count 0 u i then bump m_tail bu i;
+          if i <= bsize && Layout.bit_at lay x1.(bv) i && claim_prefix_eq bu bv i && first_count 1 v i then
+            bump m_head bv i)
+    arcs;
+  (* least significant 0 bit of each block's x1, as a 1-based MSB-first
+     index; None if x1 is all ones on B bits *)
+  let vb_index =
+    Array.map
+      (fun x ->
+        let rec go j = if j < 1 then None else if not (Layout.bit_at lay x j) then Some j else go (j - 1) in
+        go bsize)
+      x1
   in
   let r1 : r1_node array =
     Array.init n (fun v ->
-        let b = blk.(v) in
         let flag =
-          match vb_index b with
+          match vb_index.(blk.(v)) with
           | None -> Left_of
           | Some jb -> if idx.(v) < jb then Left_of else if idx.(v) = jb then At_vb else Right_of
         in
@@ -561,9 +571,7 @@ let run ?(seed = 0) ?(c = 3) ?block ?(retain = false) ~prover inst =
         })
   in
   Dip.record_prover meter
-    (Array.append
-       (Array.map (fun l -> r1_node_bits pa l) r1)
-       (Array.of_list (List.map (fun a -> r1_arc_bits pa (Arc_map.find a arc_r1)) inst.arcs)));
+    (Array.append (Array.map (fun l -> r1_node_bits pa l) r1) (Array.map (fun a -> r1_arc_bits pa a) arc_r1));
 
   (* ---- Round 2 (verifier): r, r', r_b ---- *)
   let rng = Rng.create seed in
@@ -601,35 +609,26 @@ let run ?(seed = 0) ?(c = 3) ?block ?(retain = false) ~prover inst =
   let rb_of_block =
     Array.map (fun l -> match coins2.(l).rb with Some rb -> rb | None -> assert false) block_leader
   in
+  let pre1 = prefix_table pa p x1 r and pre2 = prefix_table pa p x2 r and prep = prefix_table pa p x1 rp in
   let r3 : r3_node array =
     Array.init n (fun v ->
-        let b = blk.(v) in
+        let b = blk.(v) and i = idx.(v) in
         {
           r_e = r;
           rp_e = rp;
           rb_e = rb_of_block.(b);
-          pre1 = prefix_upto pa p x1.(b) r idx.(v);
-          pre2 = prefix_upto pa p x2.(b) r idx.(v);
-          f1 = prefix_upto pa p x1.(b) r bsize;
-          f2 = prefix_upto pa p x2.(b) r bsize;
-          prep = prefix_upto pa p x1.(b) rp idx.(v);
+          pre1 = pre1 b i;
+          pre2 = pre2 b i;
+          f1 = pre1 b bsize;
+          f2 = pre2 b bsize;
+          prep = prep b i;
         })
   in
-  let arc_r3 =
-    List.fold_left
-      (fun m (u, v) ->
-        match decision (u, v) with
-        | D_inner -> Arc_map.add (u, v) { jval = 0 } m
-        | D_outer { i; j_from_tail } ->
-            let src = if j_from_tail then blk.(u) else blk.(v) in
-            Arc_map.add (u, v) { jval = prefix_upto pa p x1.(src) rp (i - 1) } m)
-      Arc_map.empty inst.arcs
+  let arc_j =
+    Array.mapi (fun k (u, _) -> match arc_r1.(k) with Inner -> 0 | Outer { i } -> prep blk.(u) (i - 1)) arcs
   in
   Dip.record_prover meter
-    (Array.append
-       (Array.map (fun l -> r3_node_bits pa l) r3)
-       (Array.of_list
-          (List.map (fun a -> Bits.of_int ~width:wp (Arc_map.find a arc_r3).jval) inst.arcs)));
+    (Array.append (Array.map (fun l -> r3_node_bits pa l) r3) (Array.map (fun j -> Bits.of_int ~width:wp j) arc_j));
 
   (* ---- Round 4 (verifier): z per block ---- *)
   let coins4 : coins4 array =
@@ -644,50 +643,39 @@ let run ?(seed = 0) ?(c = 3) ?block ?(retain = false) ~prover inst =
   let z_of_block =
     Array.map (fun l -> match coins4.(l).z with Some z -> z | None -> assert false) block_leader
   in
-  (* Encoded element of a committed pair. *)
-  let enc (i, j) = ((i - 1) * p.Fp.p) + j in
-  (* Per node: its S1 contributions (deduped by index) on each side. *)
   let in_arcs = Array.make n [] and out_arcs = Array.make n [] in
-  List.iter
-    (fun (u, v) ->
-      match Arc_map.find (u, v) arc_r1 with
-      | Inner -> ()
-      | Outer { i } ->
-          let jv = (Arc_map.find (u, v) arc_r3).jval in
-          out_arcs.(u) <- (i, jv) :: out_arcs.(u);
-          in_arcs.(v) <- (i, jv) :: in_arcs.(v))
-    inst.arcs;
-  let dedupe pairs = List.sort_uniq compare_pair pairs in
-  let s1_head v = List.map enc (dedupe in_arcs.(v)) in
-  let s1_tail v = List.map enc (dedupe out_arcs.(v)) in
-  let phi_left v =
-    (* phi^b_{idx(v)-1}(r'): the left neighbour's prefix; 1 at the leader *)
-    if idx.(v) = 1 then 1 else prefix_upto pa p x1.(blk.(v)) rp (idx.(v) - 1)
-  in
-  let s2_side bit_wanted m v =
-    if idx.(v) <= bsize && bit1_of v = bit_wanted then List.init m.(v) (fun _ -> enc (idx.(v), phi_left v))
-    else []
-  in
-  let m_head_arr = Array.map (fun (l : r1_node) -> l.m_head) r1 in
-  let m_tail_arr = Array.map (fun (l : r1_node) -> l.m_tail) r1 in
-  let r5 : r5_node array = Array.make n { z_e = 0; ph1 = 1; ph2 = 1; pt1 = 1; pt2 = 1 } in
-  for b = 0 to pa.Params.nblocks - 1 do
-    let z = z_of_block.(b) in
-    let acc1 = ref 1 and acc2 = ref 1 and acc3 = ref 1 and acc4 = ref 1 in
-    for position = b * bsize to min (n - 1) ((if b = pa.Params.nblocks - 1 then n else (b + 1) * bsize) - 1) do
-      let v = inst.path.(position) in
-      let fold acc elems = List.iter (fun e -> acc := Fp.mul p2 !acc (Fp.sub p2 e z)) elems in
-      fold acc1 (s1_head v);
-      fold acc2 (s2_side true m_head_arr v);
-      fold acc3 (s1_tail v);
-      fold acc4 (s2_side false m_tail_arr v);
-      r5.(v) <- { z_e = z; ph1 = !acc1; ph2 = !acc2; pt1 = !acc3; pt2 = !acc4 }
-    done
-  done;
+  Array.iteri
+    (fun k (u, v) ->
+      in_arcs.(v) <- k :: in_arcs.(v);
+      out_arcs.(u) <- k :: out_arcs.(u))
+    arcs;
+  let sc_in = scratch pa and sc_out = scratch pa in
+  (* Per node, in path order: each block's four prefix chains, extended by
+     the node's S1 pairs (deduped) and its S2 copies of
+     (idx, phi^b_{idx-1}(r')). *)
+  let r5 : r5_node array = Array.make n unit5 in
+  Array.iteri
+    (fun position v ->
+      let b = blk.(v) and i = idx.(v) in
+      let z = z_of_block.(b) in
+      let l = if i = 1 then unit5 else r5.(inst.path.(position - 1)) in
+      let s1 sc acc ids =
+        fold_pairs sc v ~arc_r1 ~arc_j (fun acc i j _ -> Fp.mul p2 acc (Fp.sub p2 (enc p i j) z)) acc ids
+      in
+      let s2 bit m acc = if i <= bsize && bit1_of v = bit then mul_power p2 acc (enc p i (prep b (i - 1))) z m else acc in
+      r5.(v) <-
+        {
+          z_e = z;
+          ph1 = s1 sc_in l.ph1 in_arcs.(v);
+          ph2 = s2 true m_head.(v) l.ph2;
+          pt1 = s1 sc_out l.pt1 out_arcs.(v);
+          pt2 = s2 false m_tail.(v) l.pt2;
+        })
+    inst.path;
   Dip.record_prover meter (Array.map (fun l -> r5_node_bits pa l) r5);
 
   (* ---- Verification: purely local checks at each node ---- *)
-  let verify = node_checks pa inst ~r1 ~r3 ~r5 ~coins2 ~coins4 ~arc_r1 ~arc_r3 in
+  let verify = node_checks pa inst ~r1 ~r3 ~r5 ~coins2 ~coins4 ~arc_r1 ~arc_j in
   let verdict = Dip.all_accept ~n verify in
   { verdict; stats = Dip.stats meter; params = pa; transcript = Dip.transcript meter }
 
@@ -737,31 +725,19 @@ let decode_r1_arc (pa : Params.t) b =
 let decode_r3_node (pa : Params.t) b =
   let wp = Fp.bit_width pa.Params.p in
   reader_all "r3 node label" b (fun r ->
-      let f () = Bits.Reader.int r ~width:wp in
-      let r_e = f () in
-      let rp_e = f () in
-      let rb_e = f () in
-      let pre1 = f () in
-      let pre2 = f () in
-      let f1 = f () in
-      let f2 = f () in
-      let prep = f () in
-      { r_e; rp_e; rb_e; pre1; pre2; f1; f2; prep })
+      (* Array.init reads the fields in order *)
+      let f = Array.init 8 (fun _ -> Bits.Reader.int r ~width:wp) in
+      { r_e = f.(0); rp_e = f.(1); rb_e = f.(2); pre1 = f.(3); pre2 = f.(4); f1 = f.(5); f2 = f.(6); prep = f.(7) })
 
 let decode_r3_arc (pa : Params.t) b =
   let wp = Fp.bit_width pa.Params.p in
-  reader_all "r3 arc label" b (fun r -> { jval = Bits.Reader.int r ~width:wp })
+  reader_all "r3 arc label" b (fun r -> Bits.Reader.int r ~width:wp)
 
 let decode_r5_node (pa : Params.t) b =
   let wq = Fp.bit_width pa.Params.p2 in
   reader_all "r5 node label" b (fun r ->
-      let f () = Bits.Reader.int r ~width:wq in
-      let z_e = f () in
-      let ph1 = f () in
-      let ph2 = f () in
-      let pt1 = f () in
-      let pt2 = f () in
-      { z_e; ph1; ph2; pt1; pt2 })
+      let f = Array.init 5 (fun _ -> Bits.Reader.int r ~width:wq) in
+      { z_e = f.(0); ph1 = f.(1); ph2 = f.(2); pt1 = f.(3); pt2 = f.(4) })
 
 let decode_coins2 (pa : Params.t) ~leftmost ~leader b =
   let wp = Fp.bit_width pa.Params.p in
@@ -807,16 +783,9 @@ let replay ?(c = 3) ?block inst frames =
               decode_coins2 pa ~leftmost:(pos.(v) = 0) ~leader:(r1.(v).j = 1) f2.(v))
         in
         let coins4 = Array.init n (fun v -> decode_coins4 pa ~leader:(r1.(v).j = 1) f4.(v)) in
-        let _, arc_r1, arc_r3 =
-          List.fold_left
-            (fun (k, m1, m3) a ->
-              ( k + 1,
-                Arc_map.add a (decode_r1_arc pa f1.(n + k)) m1,
-                Arc_map.add a (decode_r3_arc pa f3.(n + k)) m3 ))
-            (0, Arc_map.empty, Arc_map.empty)
-            inst.arcs
-        in
-        let verify = node_checks pa inst ~r1 ~r3 ~r5 ~coins2 ~coins4 ~arc_r1 ~arc_r3 in
+        let arc_r1 = Array.init nar (fun k -> decode_r1_arc pa f1.(n + k)) in
+        let arc_j = Array.init nar (fun k -> decode_r3_arc pa f3.(n + k)) in
+        let verify = node_checks pa inst ~r1 ~r3 ~r5 ~coins2 ~coins4 ~arc_r1 ~arc_j in
         Ok (Dip.all_accept ~n verify)
       with
       | Invalid_argument msg -> Error msg

@@ -31,7 +31,9 @@ type instance = {
 
 val validate_instance : instance -> unit
 (** Raises [Invalid_argument] on malformed instances (not a permutation,
-    arcs out of range, arcs duplicating path edges). *)
+    arcs out of range, arcs duplicating path edges).  Every arc carries
+    its own labels, indexed by its position in [arcs], so an arc listed
+    twice is rejected with [Invalid_argument "Lr_sorting: repeated arc"]. *)
 
 val is_yes_instance : instance -> bool
 

@@ -34,33 +34,83 @@ let compare a b =
   | 0 -> Bytes.compare a.data b.data
   | c -> c
 
-let append a b = init (a.len + b.len) (fun i -> if i < a.len then get a i else get b (i - a.len))
+(* The byte-chunked kernels.  Integer fields are MSB-first while bits fill
+   each byte from its low end, so moving a c-bit chunk (c <= 8) between an
+   int and a byte reverses it: [rev c x] is the c-bit reversal of [x]. *)
+let rev8 =
+  String.init 256 (fun x ->
+      let r = ref 0 in
+      for k = 0 to 7 do
+        if x land (1 lsl k) <> 0 then r := !r lor (1 lsl (7 - k))
+      done;
+      Char.chr !r)
+
+let rev c x = Char.code (String.unsafe_get rev8 x) lsr (8 - c)
+
+(* Integer field [pos, pos+width) read MSB-first straight off the byte
+   buffer, one byte-aligned chunk at a time, without building the
+   intermediate bitstring [sub] would.  No range check. *)
+let fold_int data ~pos ~width =
+  let v = ref 0 and pos = ref pos and left = ref width in
+  while !left > 0 do
+    let o = !pos land 7 in
+    let c = min (8 - o) !left in
+    let raw = (Char.code (Bytes.unsafe_get data (!pos lsr 3)) lsr o) land ((1 lsl c) - 1) in
+    v := (!v lsl c) lor rev c raw;
+    pos := !pos + c;
+    left := !left - c
+  done;
+  !v
+
+(* The inverse: writes the [width] low bits of [v] MSB-first at bit [pos],
+   clearing whatever the chunk's bits held before, so a reused buffer
+   needs no zero-fill.  No range check. *)
+let write_int data ~pos ~width v =
+  let pos = ref pos and left = ref width in
+  while !left > 0 do
+    let o = !pos land 7 and j = !pos lsr 3 in
+    let c = min (8 - o) !left in
+    left := !left - c;
+    let mask = ((1 lsl c) - 1) lsl o in
+    let chunk = rev c ((v lsr !left) land ((1 lsl c) - 1)) lsl o in
+    Bytes.unsafe_set data j
+      (Char.unsafe_chr ((Char.code (Bytes.unsafe_get data j) land lnot mask) lor chunk));
+    pos := !pos + c
+  done
+
+(* Bits [spos, spos+len) of [src] to [dpos, dpos+len) of [dst], in int
+   fields of up to 62 bits.  No range check. *)
+let blit src ~spos dst ~dpos ~len =
+  let k = ref 0 in
+  while !k < len do
+    let c = min 62 (len - !k) in
+    write_int dst ~pos:(dpos + !k) ~width:c (fold_int src ~pos:(spos + !k) ~width:c);
+    k := !k + c
+  done
 
 let concat ts =
-  let total = List.fold_left (fun acc t -> acc + t.len) 0 ts in
-  let out = make total in
+  let out = make (List.fold_left (fun acc t -> acc + t.len) 0 ts) in
   let off = ref 0 in
-  List.iter
-    (fun t ->
-      for i = 0 to t.len - 1 do set_unsafe out (!off + i) (get t i) done;
-      off := !off + t.len)
-    ts;
+  List.iter (fun t -> blit t.data ~spos:0 out.data ~dpos:!off ~len:t.len; off := !off + t.len) ts;
   out
+
+let append a b = concat [ a; b ]
 
 let of_bool b = init 1 (fun _ -> b)
 
+let check_int what ~width v =
+  if width < 0 || width > 62 then invalid_arg (what ^ ": width");
+  if v < 0 || (width < 62 && v lsr width <> 0) then invalid_arg (what ^ ": value")
+
 let of_int ~width v =
-  if width < 0 || width > 62 then invalid_arg "Bits.of_int: width";
-  if v < 0 || (width < 62 && v lsr width <> 0) then invalid_arg "Bits.of_int: value";
-  init width (fun i -> (v lsr (width - 1 - i)) land 1 = 1)
+  check_int "Bits.of_int" ~width v;
+  let t = make width in
+  write_int t.data ~pos:0 ~width v;
+  t
 
 let to_int t =
   if t.len > 62 then invalid_arg "Bits.to_int: too long";
-  let v = ref 0 in
-  for i = 0 to t.len - 1 do
-    v := (!v lsl 1) lor (if get t i then 1 else 0)
-  done;
-  !v
+  fold_int t.data ~pos:0 ~width:t.len
 
 (* No range check: reserved for call sites the refine-index pass of
    dipp-lint has proved in-bounds (an unverified call site is a lint
@@ -68,8 +118,9 @@ let to_int t =
    last byte — silently wrong, never a crash — which is why the gate is
    static rather than a debug assert. *)
 let unsafe_sub t ~pos ~len =
-  init len (fun i ->
-      Char.code (Bytes.get t.data ((pos + i) lsr 3)) land (1 lsl ((pos + i) land 7)) <> 0)
+  let out = make len in
+  blit t.data ~spos:pos out.data ~dpos:0 ~len;
+  out
 
 let sub t ~pos ~len =
   if pos < 0 || len < 0 || pos + len > t.len then
@@ -105,16 +156,6 @@ let of_bytes ~len data =
   if len < 0 || Bytes.length data <> bytes_for len then invalid_arg "Bits.of_bytes";
   with_zero_tail ~len (Bytes.copy data)
 
-(* Integer field [pos, pos+width) read MSB-first straight off the byte
-   buffer, without building the intermediate bitstring [sub] would. *)
-let fold_int data ~pos ~width =
-  let v = ref 0 in
-  for k = 0 to width - 1 do
-    let i = pos + k in
-    v := (!v lsl 1) lor ((Char.code (Bytes.unsafe_get data (i lsr 3)) lsr (i land 7)) land 1)
-  done;
-  !v
-
 let read_int t ~pos ~width =
   if pos < 0 || width < 0 || width > 62 || pos + width > t.len then
     invalid_arg
@@ -144,9 +185,9 @@ module Writer = struct
 
   let length w = w.pos
 
-  (* Reset without re-zeroing the buffer: set_bit below writes both 0 and
-     1, so stale bits beyond the new cursor are re-written before they are
-     ever read, and [contents] masks the last byte. *)
+  (* Reset without re-zeroing the buffer: the kernels write both 0 and 1
+     bits, so stale bits beyond the new cursor are re-written before they
+     are ever read, and [contents] masks the last byte. *)
   let reset w = w.pos <- 0
 
   let grow w need =
@@ -161,32 +202,17 @@ module Writer = struct
       w.buf <- buf
     end
 
-  let set_bit w i b =
-    let j = i lsr 3 in
-    let mask = 1 lsl (i land 7) in
-    let c = Char.code (Bytes.unsafe_get w.buf j) in
-    Bytes.unsafe_set w.buf j (Char.unsafe_chr (if b then c lor mask else c land lnot mask))
-
-  let bool w b =
-    grow w (w.pos + 1);
-    set_bit w w.pos b;
-    w.pos <- w.pos + 1
-
   let int w ~width v =
-    if width < 0 || width > 62 then invalid_arg "Bits.Writer.int: width";
-    if v < 0 || (width < 62 && v lsr width <> 0) then invalid_arg "Bits.Writer.int: value";
+    check_int "Bits.Writer.int" ~width v;
     grow w (w.pos + width);
-    for k = 0 to width - 1 do
-      set_bit w (w.pos + k) ((v lsr (width - 1 - k)) land 1 = 1)
-    done;
+    write_int w.buf ~pos:w.pos ~width v;
     w.pos <- w.pos + width
+
+  let bool w b = int w ~width:1 (Bool.to_int b)
 
   let bits w b =
     grow w (w.pos + b.len);
-    for k = 0 to b.len - 1 do
-      set_bit w (w.pos + k)
-        (Char.code (Bytes.unsafe_get b.data (k lsr 3)) land (1 lsl (k land 7)) <> 0)
-    done;
+    blit b.data ~spos:0 w.buf ~dpos:w.pos ~len:b.len;
     w.pos <- w.pos + b.len
 
   let contents w = with_zero_tail ~len:w.pos (Bytes.sub w.buf 0 (bytes_for w.pos))

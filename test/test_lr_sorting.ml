@@ -21,6 +21,13 @@ let test_validate_rejects_path_duplicate () =
   Alcotest.check_raises "dup" (Invalid_argument "Lr_sorting: arc duplicates a path edge") (fun () ->
       Lr_sorting.validate_instance { Lr_sorting.n = 3; path = [| 0; 1; 2 |]; arcs = [ (1, 0) ] })
 
+let test_validate_rejects_repeated_arc () =
+  Alcotest.check_raises "repeat" (Invalid_argument "Lr_sorting: repeated arc") (fun () ->
+      Lr_sorting.validate_instance
+        { Lr_sorting.n = 5; path = [| 0; 1; 2; 3; 4 |]; arcs = [ (0, 2); (1, 4); (0, 2) ] });
+  (* the reverse of an arc is a different arc *)
+  Lr_sorting.validate_instance { Lr_sorting.n = 5; path = [| 0; 1; 2; 3; 4 |]; arcs = [ (0, 2); (2, 0) ] }
+
 let test_yes_no_classification () =
   Alcotest.(check bool) "yes" true (Lr_sorting.is_yes_instance (yes_instance ~n:100 1));
   Alcotest.(check bool) "no" false (Lr_sorting.is_yes_instance (no_instance ~n:100 1))
@@ -132,6 +139,31 @@ let test_proof_size_smaller_than_pls_at_scale () =
   (* per-node per-round label: compare against n needing 16-bit positions *)
   Alcotest.(check bool) "positions need 16 bits" true (Pls_lr_sorting.full_width n = 16)
 
+(* ROADMAP's "flat per-node cost" on a counter that does not depend on the
+   host: words allocated (minor + major - promoted) per node by honest
+   single-domain runs.  OCaml 5 folds minor allocation into the counters
+   a minor heap at a time, so each size runs until 2^16 nodes have been
+   processed, which bounds that granularity to a few words per node. *)
+let words_per_node ~n =
+  let inst = yes_instance ~n 3 in
+  ignore (Lr_sorting.run ~seed:0 ~prover:Lr_sorting.Honest inst);
+  let runs = max 1 ((1 lsl 16) / n) in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = allocated () in
+  for seed = 1 to runs do
+    ignore (Lr_sorting.run ~seed ~prover:Lr_sorting.Honest inst)
+  done;
+  (allocated () -. w0) /. float_of_int (runs * n)
+
+let test_allocation_per_node_flat () =
+  let small = words_per_node ~n:(1 lsl 10) and large = words_per_node ~n:(1 lsl 14) in
+  if large > 700. then Alcotest.failf "n = 2^14 allocates %.0f words per node (gate: 700)" large;
+  if Float.abs ((large /. small) -. 1.) > 0.10 then
+    Alcotest.failf "words per node not flat: %.0f at n = 2^10, %.0f at n = 2^14 (gate: 10%%)" small large
+
 (* ---- soundness ------------------------------------------------------------- *)
 
 let rejection_rate prover ~n ~trials =
@@ -237,6 +269,7 @@ let () =
         [
           Alcotest.test_case "validate permutation" `Quick test_validate_rejects_non_permutation;
           Alcotest.test_case "validate path duplicate" `Quick test_validate_rejects_path_duplicate;
+          Alcotest.test_case "validate repeated arc" `Quick test_validate_rejects_repeated_arc;
           Alcotest.test_case "yes/no classification" `Quick test_yes_no_classification;
           Alcotest.test_case "underlying graph" `Quick test_underlying_graph;
         ] );
@@ -259,6 +292,7 @@ let () =
           Alcotest.test_case "five rounds" `Quick test_five_rounds;
           Alcotest.test_case "loglog growth" `Slow test_proof_size_loglog_growth;
           Alcotest.test_case "PLS width reference" `Quick test_proof_size_smaller_than_pls_at_scale;
+          Alcotest.test_case "allocation per node flat" `Quick test_allocation_per_node_flat;
         ] );
       ( "soundness",
         [

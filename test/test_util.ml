@@ -207,6 +207,95 @@ let prop_bits_writer_reader_program =
            fields
       && Bits.Reader.remaining r = 0)
 
+(* ---- Bits kernels against a bit-at-a-time reference ----------------- *)
+
+(* The reference model: a bitstring is its '0'/'1' string, and integers
+   go in and out of it one bit at a time, MSB first.  Bits.of_string and
+   Bits.to_string build and read bit by bit, so they bridge the model and
+   the byte-chunked kernels under test. *)
+let ref_of_int ~width v =
+  String.init width (fun k -> if (v lsr (width - 1 - k)) land 1 = 1 then '1' else '0')
+
+let ref_to_int s = String.fold_left (fun v c -> (v lsl 1) lor if c = '1' then 1 else 0) 0 s
+
+let ref_image = function
+  | Fbool b -> if b then "1" else "0"
+  | Fint (width, v) -> ref_of_int ~width v
+  | Fbits s -> s
+
+let gen_bitstring len = QCheck.Gen.(string_size ~gen:(oneofl [ '0'; '1' ]) len)
+
+(* a width in 0..62 and a value that fits it, up to the full 62 bits *)
+let gen_int_field =
+  QCheck.Gen.(int_range 0 62 >>= fun w -> map (fun v -> (w, v land ((1 lsl w) - 1))) int)
+
+let gen_field =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun b -> Fbool b) bool;
+        map (fun (w, v) -> Fint (w, v)) gen_int_field;
+        map (fun s -> Fbits s) (gen_bitstring (int_bound 80));
+      ])
+
+let prop_bits_writer_reference =
+  QCheck.Test.make ~name:"bits: reset-reused Writer over a dirty buffer matches the reference" ~count:300
+    (QCheck.make QCheck.Gen.(pair (int_bound 400) (list_size (int_range 0 24) gen_field)))
+    (fun (dirty, fields) ->
+      (* stale ones everywhere a field lands: each kernel must clear them *)
+      let w = Bits.Writer.create ~capacity:8 () in
+      Bits.Writer.bits w (Bits.of_string (String.make dirty '1'));
+      Bits.Writer.reset w;
+      List.iter
+        (function
+          | Fbool b -> Bits.Writer.bool w b
+          | Fint (width, v) -> Bits.Writer.int w ~width v
+          | Fbits s -> Bits.Writer.bits w (Bits.of_string s))
+        fields;
+      let expected = String.concat "" (List.map ref_image fields) in
+      let b = Bits.Writer.contents w in
+      Bits.to_string b = expected
+      && Bits.equal b (Bits.of_string expected)
+      && Bits.Writer.length w = String.length expected)
+
+let prop_bits_reads_reference =
+  let slice =
+    QCheck.Gen.(
+      gen_bitstring (int_bound 200) >>= fun s ->
+      let l = String.length s in
+      int_range 0 l >>= fun pos ->
+      int_range 0 (l - pos) >|= fun len -> (s, pos, len))
+  in
+  QCheck.Test.make ~name:"bits: field reads and slices at unaligned offsets match the reference"
+    ~count:500 (QCheck.make slice)
+    (fun (s, pos, len) ->
+      let b = Bits.of_string s and width = min 62 len in
+      let expected = ref_to_int (String.sub s pos width) in
+      let r = Bits.Reader.of_bits b in
+      ignore (Bits.Reader.bits r ~len:pos);
+      Bits.read_int b ~pos ~width = expected
+      && Bits.unsafe_int b ~pos ~width = expected
+      && Bits.Reader.int r ~width = expected
+      && Bits.Reader.remaining r = String.length s - pos - width
+      && Bits.to_string (Bits.sub b ~pos ~len) = String.sub s pos len
+      && Bits.equal (Bits.sub b ~pos ~len) (Bits.of_string (String.sub s pos len)))
+
+let prop_bits_constructors_reference =
+  QCheck.Test.make ~name:"bits: of_int, to_int, concat and append match the reference" ~count:300
+    (QCheck.make
+       QCheck.Gen.(pair gen_int_field (list_size (int_range 0 8) (gen_bitstring (int_bound 90)))))
+    (fun ((width, v), parts) ->
+      let b = Bits.of_int ~width v in
+      let joined = String.concat "" parts in
+      let bs = List.map Bits.of_string parts in
+      Bits.to_string b = ref_of_int ~width v
+      && Bits.to_int b = v
+      && Bits.equal (Bits.concat bs) (Bits.of_string joined)
+      && Bits.equal
+           (List.fold_left Bits.append Bits.empty bs)
+           (Bits.of_string joined)
+      && Bits.equal (Bits.append b (Bits.concat bs)) (Bits.of_string (ref_of_int ~width v ^ joined)))
+
 (* ---- Min_heap ------------------------------------------------------ *)
 
 let test_heap_basic () =
@@ -468,6 +557,9 @@ let () =
           qtest prop_bits_int_roundtrip;
           qtest prop_bits_append_length;
           qtest prop_bits_writer_reader_program;
+          qtest prop_bits_writer_reference;
+          qtest prop_bits_reads_reference;
+          qtest prop_bits_constructors_reference;
         ] );
       ( "min-heap",
         [
