@@ -1,12 +1,6 @@
-module Int_set = Set.Make (Int)
-
 (* ------------------------------------------------------------------ *)
 (* DMP on a biconnected graph with >= 3 nodes.                         *)
 (* ------------------------------------------------------------------ *)
-
-type face = { verts : int array; vset : Int_set.t }
-
-let mk_face verts = { verts; vset = Array.fold_left (fun s v -> Int_set.add v s) Int_set.empty verts }
 
 let find_cycle g =
   (* DFS until a back edge closes a cycle; biconnected with n >= 3 always
@@ -36,211 +30,243 @@ let find_cycle g =
     invalid_arg "Planarity.find_cycle: acyclic biconnected graph"
   with Found c -> c
 
-type fragment =
-  | Chord of int * int
-  | Comp of { nodes : int list; attachments : int list }
+(* Index of [w] in the sorted neighbour array [a], searching [lo, hi). *)
+let rec position a w lo hi =
+  if lo >= hi then invalid_arg "Planarity: not an edge";
+  let mid = (lo + hi) / 2 in
+  if a.(mid) < w then position a w (mid + 1) hi else if a.(mid) > w then position a w lo mid else mid
 
-let fragments g embedded_vertex embedded_edge =
-  let n = Graph.n g in
-  let frags = ref [] in
-  (* Chords between embedded vertices. *)
-  Graph.iter_edges
-    (fun (u, v) ->
-      if embedded_vertex.(u) && embedded_vertex.(v) && not (embedded_edge u v) then
-        frags := Chord (u, v) :: !frags)
-    g;
-  (* Components of G minus embedded vertices. *)
-  let comp = Array.make n (-1) in
-  let next = ref 0 in
-  for s = 0 to n - 1 do
-    if (not embedded_vertex.(s)) && comp.(s) = -1 then begin
-      let id = !next in
-      incr next;
-      let nodes = ref [] in
-      let attach = ref Int_set.empty in
-      let queue = Queue.create () in
-      comp.(s) <- id;
-      Queue.add s queue;
-      while not (Queue.is_empty queue) do
-        let v = Queue.pop queue in
-        nodes := v :: !nodes;
-        Array.iter
-          (fun w ->
-            if embedded_vertex.(w) then attach := Int_set.add w !attach
-            else if comp.(w) = -1 then begin
-              comp.(w) <- id;
-              Queue.add w queue
-            end)
-          (Graph.neighbors g v)
-      done;
-      frags := Comp { nodes = !nodes; attachments = Int_set.elements !attach } :: !frags
-    end
-  done;
-  !frags
+let record r c a b face =
+  r.(0) <- c;
+  r.(1) <- a;
+  r.(2) <- b;
+  r.(3) <- face
 
-let fragment_attachments = function
-  | Chord (u, v) -> [ u; v ]
-  | Comp { attachments; _ } -> attachments
-
-(* Path through the fragment between two attachments, interior inside the
-   fragment. *)
-let fragment_path g fragment =
-  match fragment with
-  | Chord (u, v) -> [ u; v ]
-  | Comp { nodes; attachments } -> (
-      match attachments with
-      | a :: b :: _ ->
-          let allowed = List.fold_left (fun s v -> Int_set.add v s) Int_set.empty nodes in
-          let n = Graph.n g in
-          let prev = Array.make n (-2) in
-          let queue = Queue.create () in
-          prev.(a) <- -1;
-          (* First hop must enter the fragment. *)
-          Array.iter
-            (fun w ->
-              if Int_set.mem w allowed && prev.(w) = -2 then begin
-                prev.(w) <- a;
-                Queue.add w queue
-              end)
-            (Graph.neighbors g a);
-          let target = ref (-1) in
-          while !target = -1 && not (Queue.is_empty queue) do
-            let v = Queue.pop queue in
-            if Graph.mem_edge g v b then target := v
-            else
-              Array.iter
-                (fun w ->
-                  if Int_set.mem w allowed && prev.(w) = -2 then begin
-                    prev.(w) <- v;
-                    Queue.add w queue
-                  end)
-                (Graph.neighbors g v)
-          done;
-          if !target = -1 then invalid_arg "Planarity.fragment_path: no path (graph not biconnected?)";
-          let rec build v acc = if v = -1 then acc else build prev.(v) (v :: acc) in
-          build !target [ b ]
-      | _ -> invalid_arg "Planarity.fragment_path: fragment with < 2 attachments")
-
-let admissible faces frag =
-  let att = fragment_attachments frag in
-  List.filter (fun f -> List.for_all (fun v -> Int_set.mem v f.vset) att) faces
-
-(* Split face [f] by embedding [path] (endpoints on the face). *)
-let split_face f path =
-  let verts = f.verts in
-  let r = Array.length verts in
-  let a = List.hd path in
-  let b = List.nth path (List.length path - 1) in
-  let idx x =
-    let rec go i = if i >= r then invalid_arg "split_face: endpoint not on face" else if verts.(i) = x then i else go (i + 1) in
-    go 0
-  in
-  let ia = idx a and ib = idx b in
-  let interior =
-    match path with
-    | [] | [ _ ] -> []
-    | _ :: tl -> ( match List.rev tl with [] -> [] | _ :: rev_mid -> List.rev rev_mid)
-  in
-  (* Walk a -> ... -> b along the face. *)
-  let seg_ab =
-    let len = ((ib - ia + r) mod r) + 1 in
-    List.init len (fun i -> verts.((ia + i) mod r))
-  in
-  let seg_ba =
-    let len = ((ia - ib + r) mod r) + 1 in
-    List.init len (fun i -> verts.((ib + i) mod r))
-  in
-  (* f1: a ..face.. b, then path interior reversed (b -> a direction).
-     f2: b ..face.. a, then path interior forward (a -> b direction).
-     Both walks keep the original orientation on the face segment. *)
-  let f1 = Array.of_list (List.filteri (fun i _ -> i < List.length seg_ab - 0) seg_ab @ List.rev interior) in
-  let f2 = Array.of_list (seg_ba @ interior) in
-  (* Drop the duplicated closing vertex: seg_ab ends at b and the cycle
-     closes back to a after the interior, so the arrays above are already
-     proper vertex cycles except that seg includes both a and b. *)
-  (mk_face f1, mk_face f2)
-
+(* DMP grows an embedded subgraph H by one fragment path per step.  Faces are
+   boundary walks named by integer ids, and faces are preferred newest
+   first, f1 before f2: a split face gives way to f2 then f1 under the next
+   two ids, so the first admissible face is the largest admissible id.
+   [faces_of.(v)] holds the ids of the live faces through [v], and a face is
+   admissible for a fragment when it holds all of the fragment's
+   attachments, counted over the attachments' faces.  A step rescans the
+   fragments (chords off the adjacency arrays, components of G - H by BFS):
+   O(n + m) plus the faces their attachments touch. *)
 let embed_biconnected g =
-  let n = Graph.n g in
-  let m = Graph.m g in
+  let n = Graph.n g and m = Graph.m g in
   if n >= 3 && m > (3 * n) - 6 then None
   else begin
-    let cycle = find_cycle g in
-    let cyc = Array.of_list cycle in
-    let embedded_vertex = Array.make n false in
-    let module Edge_tbl = Hashtbl in
-    let emb_edges = Edge_tbl.create (2 * m) in
-    let add_edge u v = Edge_tbl.replace emb_edges (Graph.normalize_edge u v) () in
-    let has_edge u v = Edge_tbl.mem emb_edges (Graph.normalize_edge u v) in
-    Array.iter (fun v -> embedded_vertex.(v) <- true) cyc;
+    (* Dart (v, w) is [off.(v)] plus the index of [w] among v's neighbours. *)
+    let off = Array.make (n + 1) 0 in
+    for v = 0 to n - 1 do off.(v + 1) <- off.(v) + Graph.degree g v done;
+    let dart v w = off.(v) + position (Graph.neighbors g v) w 0 (off.(v + 1) - off.(v)) in
+    let on_h = Array.make n false and dart_on = Array.make (2 * m) false and edges_left = ref m in
+    let mark_path p lo hi =
+      for i = lo to hi - 1 do
+        let u = min p.(i) p.(i + 1) and v = max p.(i) p.(i + 1) in
+        on_h.(u) <- true;
+        on_h.(v) <- true;
+        dart_on.(dart u v) <- true;
+        decr edges_left
+      done
+    in
+    (* The faces of a 2-connected plane graph are simple cycles, so [v] lies
+       on at most [degree v] of them. *)
+    let faces = Array.make ((2 * m) + 2) [||] and nfaces = ref 0 in
+    let faces_of = Array.init n (fun v -> Array.make (Graph.degree g v) 0) and nfo = Array.make n 0 in
+    let new_face verts =
+      faces.(!nfaces) <- verts;
+      Array.iter
+        (fun v ->
+          faces_of.(v).(nfo.(v)) <- !nfaces;
+          nfo.(v) <- nfo.(v) + 1)
+        verts;
+      incr nfaces
+    in
+    let kill_face id =
+      Array.iter
+        (fun v ->
+          let fs = faces_of.(v) and i = ref 0 in
+          while fs.(!i) <> id do incr i done;
+          nfo.(v) <- nfo.(v) - 1;
+          fs.(!i) <- fs.(nfo.(v)))
+        faces.(id);
+      faces.(id) <- [||]
+    in
+    let cyc = Array.of_list (find_cycle g) in
     let k = Array.length cyc in
-    for i = 0 to k - 1 do
-      add_edge cyc.(i) cyc.((i + 1) mod k)
-    done;
-    let faces = ref [ mk_face cyc; mk_face (Array.init k (fun i -> cyc.(k - 1 - i))) ] in
-    let edges_left = ref (m - k) in
-    let ok = ref true in
-    while !ok && !edges_left > 0 do
-      let frags = fragments g embedded_vertex has_edge in
-      (* Pick a fragment with exactly one admissible face if any; otherwise
-         any fragment; zero admissible faces anywhere => nonplanar. *)
-      let scored = List.map (fun fr -> (fr, admissible !faces fr)) frags in
-      if List.exists (fun (_, adm) -> List.is_empty adm) scored then ok := false
-      else begin
-        let fr, adm =
-          match List.find_opt (fun (_, adm) -> List.length adm = 1) scored with
-          | Some x -> x
-          | None -> List.hd scored
-        in
-        let face = List.hd adm in
-        let path = fragment_path g fr in
-        let f1, f2 = split_face face path in
-        faces := f1 :: f2 :: List.filter (fun f -> f != face) !faces;
-        let rec mark = function
-          | u :: (v :: _ as rest) ->
-              embedded_vertex.(u) <- true;
-              embedded_vertex.(v) <- true;
-              if not (has_edge u v) then begin
-                add_edge u v;
-                decr edges_left
-              end;
-              mark rest
-          | _ -> ()
-        in
-        mark path
-      end
-    done;
-    if not !ok then None
-    else begin
-      (* Reconstruct the rotation system from the face walks: in the face
-         tracing convention of {!Rotation.faces}, the dart after (u, v) is
-         (v, next_around v u); our face walks therefore define
-         next_around v u = w for consecutive darts (u,v),(v,w). *)
-      let succ = Array.init n (fun _ -> Hashtbl.create 4) in
-      List.iter
-        (fun f ->
-          let verts = f.verts in
-          let r = Array.length verts in
-          for i = 0 to r - 1 do
-            let u = verts.(i) and v = verts.((i + 1) mod r) and w = verts.((i + 2) mod r) in
-            Hashtbl.replace succ.(v) u w
-          done)
-        !faces;
-      let rot =
-        Array.init n (fun v ->
-            let nbrs = Graph.neighbors g v in
-            let deg = Array.length nbrs in
-            let out = Array.make deg 0 in
-            if deg > 0 then begin
-              out.(0) <- nbrs.(0);
-              for i = 1 to deg - 1 do
-                out.(i) <- Hashtbl.find succ.(v) out.(i - 1)
-              done
-            end;
-            out)
+    mark_path (Array.append cyc [| cyc.(0) |]) 0 k;
+    new_face (Array.init k (fun i -> cyc.(k - 1 - i)));
+    new_face cyc;
+    (* Work arrays stamped by [tick], which names every component of G - H and
+       every admissibility count, so nothing is ever cleared. *)
+    let tick = ref 0 and comp = Array.make n 0 and queue = Array.make n 0 and prev = Array.make n 0 in
+    let att = Array.make n 0 and att_seen = Array.make n 0 and path = Array.make (n + 1) 0 in
+    let cnt = Array.make ((2 * m) + 2) 0 and cnt_tick = Array.make ((2 * m) + 2) 0 in
+    (* Fragment records [| component (0: a chord); a; b; face |]: the head,
+       and the first fragment with exactly one admissible face ([a] = -1:
+       none). *)
+    let head = Array.make 4 0 and unique = Array.make 4 0 in
+    let exception Nonplanar in
+    (* Fragments are visited chords first in [iter_edges] order, then
+       components by ascending seed: the reverse of the preference order, so
+       the last fragment visited is the head and the last one with exactly
+       one admissible face is the first such.  [att.(0 .. na - 1)] are the
+       attachments of fragment [c], and [a < b] the two smallest. *)
+    let visit c na a b =
+      incr tick;
+      let t = !tick and adm = ref 0 and best = ref (-1) in
+      for i = 0 to na - 1 do
+        let fs = faces_of.(att.(i)) in
+        for j = 0 to nfo.(att.(i)) - 1 do
+          let f = fs.(j) in
+          if cnt_tick.(f) <> t then begin
+            cnt_tick.(f) <- t;
+            cnt.(f) <- 0
+          end;
+          cnt.(f) <- cnt.(f) + 1;
+          if cnt.(f) = na then begin
+            incr adm;
+            best := max !best f
+          end
+        done
+      done;
+      if !adm = 0 then raise Nonplanar;
+      record head c a b !best;
+      if !adm = 1 then record unique c a b !best
+    in
+    let scan () =
+      unique.(1) <- -1;
+      for u = 0 to n - 1 do
+        let nbrs = if on_h.(u) then Graph.neighbors g u else [||] in
+        for j = 0 to Array.length nbrs - 1 do
+          let v = nbrs.(j) in
+          if u < v && on_h.(v) && not dart_on.(off.(u) + j) then begin
+            att.(0) <- u;
+            att.(1) <- v;
+            visit 0 2 u v
+          end
+        done
+      done;
+      let base = !tick in
+      for s = 0 to n - 1 do
+        if (not on_h.(s)) && comp.(s) <= base then begin
+          incr tick;
+          let c = !tick and qh = ref 0 and qt = ref 1 and na = ref 0 in
+          let a = ref max_int and b = ref max_int in
+          comp.(s) <- c;
+          queue.(0) <- s;
+          while !qh < !qt do
+            let nbrs = Graph.neighbors g queue.(!qh) in
+            incr qh;
+            for j = 0 to Array.length nbrs - 1 do
+              let w = nbrs.(j) in
+              if on_h.(w) && att_seen.(w) <> c then begin
+                att_seen.(w) <- c;
+                att.(!na) <- w;
+                incr na;
+                if w < !a then begin
+                  b := !a;
+                  a := w
+                end
+                else b := min !b w
+              end
+              else if (not on_h.(w)) && comp.(w) <> c then begin
+                comp.(w) <- c;
+                queue.(!qt) <- w;
+                incr qt
+              end
+            done
+          done;
+          if !b = max_int then invalid_arg "Planarity.fragment_path: fragment with < 2 attachments";
+          visit c !na !a !b
+        end
+      done
+    in
+    (* BFS from [a] through component [c] (visited vertices are re-stamped
+       [-c]) to the first vertex popped that is adjacent to [b].  The path
+       a .. b is written into [path] ending at index [n]; returns its start. *)
+    let fragment_path c a b =
+      let qh = ref 0 and qt = ref 0 and target = ref (-1) in
+      let push v =
+        Array.iter
+          (fun w ->
+            if comp.(w) = c then begin
+              comp.(w) <- -c;
+              prev.(w) <- v;
+              queue.(!qt) <- w;
+              incr qt
+            end)
+          (Graph.neighbors g v)
       in
-      Some (Rotation.create g rot)
-    end
+      push a;
+      while !target < 0 && !qh < !qt do
+        let v = queue.(!qh) in
+        incr qh;
+        if Graph.mem_edge g v b then target := v else push v
+      done;
+      if !target < 0 then invalid_arg "Planarity.fragment_path: no path (graph not biconnected?)";
+      let i = ref n and v = ref !target in
+      path.(n) <- b;
+      while !v <> a do
+        decr i;
+        path.(!i) <- !v;
+        v := prev.(!v)
+      done;
+      path.(!i - 1) <- a;
+      !i - 1
+    in
+    (* Split face [id] along path.(lo .. n): f1 walks a ..face.. b and back
+       along the interior, f2 walks b ..face.. a and on along the interior. *)
+    let split id lo =
+      let f = faces.(id) in
+      let r = Array.length f and q = n - lo - 1 in
+      let index x =
+        let i = ref 0 in
+        while f.(!i) <> x do incr i done;
+        !i
+      in
+      let ia = index path.(lo) and ib = index path.(n) in
+      let l1 = ((ib - ia + r) mod r) + 1 and l2 = ((ia - ib + r) mod r) + 1 in
+      let f1 = Array.init (l1 + q) (fun i -> if i < l1 then f.((ia + i) mod r) else path.(n - 1 - i + l1)) in
+      let f2 = Array.init (l2 + q) (fun i -> if i < l2 then f.((ib + i) mod r) else path.(lo + 1 + i - l2)) in
+      kill_face id;
+      new_face f2;
+      new_face f1
+    in
+    match
+      while !edges_left > 0 do
+        scan ();
+        let r = if unique.(1) >= 0 then unique else head in
+        let lo =
+          if r.(0) > 0 then fragment_path r.(0) r.(1) r.(2)
+          else begin
+            path.(n - 1) <- r.(1);
+            path.(n) <- r.(2);
+            n - 1
+          end
+        in
+        split r.(3) lo;
+        mark_path path lo n
+      done
+    with
+    | exception Nonplanar -> None
+    | () ->
+        (* In the face tracing convention of {!Rotation.faces} the dart after
+           (u, v) is (v, next_around v u), so consecutive darts (u, v), (v, w)
+           of a face walk give next_around v u = w, stored at dart (v, u). *)
+        let succ = Array.make (2 * m) 0 in
+        for id = 0 to !nfaces - 1 do
+          let f = faces.(id) in
+          let r = Array.length f in
+          Array.iteri (fun i u -> succ.(dart f.((i + 1) mod r) u) <- f.((i + 2) mod r)) f
+        done;
+        let rotation v =
+          let nbrs = Graph.neighbors g v in
+          let out = Array.make (Array.length nbrs) nbrs.(0) in
+          for i = 1 to Array.length out - 1 do out.(i) <- succ.(dart v out.(i - 1)) done;
+          out
+        in
+        Some (Rotation.create g (Array.init n rotation))
   end
 
 (* ------------------------------------------------------------------ *)

@@ -75,7 +75,7 @@ let longest_marks ~n intervals =
 let path_parents ~n path =
   (* parent = left neighbour, root = leftmost *)
   let parent = Array.make n (-1) in
-  List.iteri (fun i v -> if i > 0 then parent.(v) <- List.nth path (i - 1)) path;
+  ignore (List.fold_left (fun left v -> if left >= 0 then parent.(v) <- left; v) (-1) path);
   parent
 
 let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ~prover inst =
@@ -164,11 +164,10 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ~prover inst =
   let is_path_edge u v = claimed_parent.(u) = v || claimed_parent.(v) = u in
   let nonpath_edges = List.filter (fun (u, v) -> not (is_path_edge u v)) (Graph.edges g) in
   let crossing_keys =
-    (* edges involved in a crossing w.r.t. the claimed path (used by the
-       cheating orientations) *)
+    (* edges involved in a crossing w.r.t. the claimed path; only the
+       flipping prover reads them, and the pair scan is quadratic *)
     match pos with
-    | None -> Edge_map.empty
-    | Some pos ->
+    | Some pos when prover = Flip_orientation ->
         let ivs =
           List.map (fun (u, v) -> (min pos.(u) pos.(v), max pos.(u) pos.(v), (u, v))) nonpath_edges
         in
@@ -180,6 +179,7 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ~prover inst =
                 else acc)
               acc ivs)
           Edge_map.empty ivs
+    | _ -> Edge_map.empty
   in
   let orientation =
     (* claimed tail/head per non-path edge *)

@@ -180,6 +180,26 @@ let test_pl_rounds () =
   let r = Planarity.run ~prover:Planarity.Honest { Planarity.graph = Graph.grid 5 5 } in
   Alcotest.(check int) "5 rounds" 5 r.Planarity.stats.Dip.interaction_rounds
 
+(* The honest prover's embedding step on a counter that does not depend on
+   the host: words allocated (minor + major - promoted) per node by
+   [Planar_test.embed] on one domain.  Four passes over eight n = 160
+   graphs process 5 120 nodes, which bounds OCaml 5's minor-heap
+   granularity to about 50 words per node.  A DMP loop that rebuilds set-
+   and table-based fragments at every step allocates about 23 800. *)
+let test_embed_allocation () =
+  let graphs = List.init 8 (fun i -> Gen.planar ~n:160 (i + 1)) in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  List.iter (fun g -> ignore (Planar_test.embed g)) graphs;
+  let w0 = allocated () in
+  for _ = 1 to 4 do
+    List.iter (fun g -> ignore (Sys.opaque_identity (Planar_test.embed g))) graphs
+  done;
+  let per_node = (allocated () -. w0) /. float_of_int (4 * 8 * 160) in
+  if per_node > 8000. then Alcotest.failf "embed allocates %.0f words per node (gate: 8000)" per_node
+
 let prop_pl_completeness =
   QCheck.Test.make ~name:"planarity: perfect completeness" ~count:20
     QCheck.(pair (int_bound 100000) (int_range 10 80))
@@ -225,6 +245,7 @@ let () =
           Alcotest.test_case "spliced K5" `Quick test_pl_soundness_spliced;
           Alcotest.test_case "delta dependence" `Quick test_pl_delta_dependence;
           Alcotest.test_case "rounds" `Quick test_pl_rounds;
+          Alcotest.test_case "embed allocation" `Quick test_embed_allocation;
           qtest prop_pl_completeness;
           qtest prop_pl_soundness;
         ] );

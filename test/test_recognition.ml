@@ -88,6 +88,44 @@ let test_embed_valid () =
       | None -> Alcotest.fail "planar graph must embed")
     [ Graph.complete 4; Graph.grid 5 5; Graph.cycle_graph 9; Graph.star 12; Gen.planar ~n:100 3 ]
 
+(* Pins every rotation system [Planar_test.embed] returns on a fixed corpus:
+   a rewrite of the DMP loop must reproduce them byte for byte, because the
+   honest prover of Theorem 1.5 and every planarity golden build on them. *)
+let embed_corpus_digest =
+  "7fdd4170275fcd7df044556330432ddfd9559964ff4af1bdd984a66396576ed9"
+
+let test_embed_digest () =
+  let b = Buffer.create (1 lsl 16) in
+  let add g =
+    (match Planar_test.embed g with
+    | None -> Buffer.add_string b "none"
+    | Some rot ->
+        Array.iter
+          (fun r ->
+            Array.iter (fun w -> Buffer.add_string b (string_of_int w ^ ",")) r;
+            Buffer.add_char b ';')
+          rot.Rotation.rot);
+    Buffer.add_char b '\n'
+  in
+  List.iter
+    (fun n ->
+      for seed = 1 to 10 do
+        add (Gen.planar ~n seed);
+        add (Gen.planar_bounded_degree ~n seed);
+        (* [Gen.nonplanar] splices a 15-node subdivided K5: n >= 20 only. *)
+        if n >= 20 then add (Gen.nonplanar ~n seed)
+      done)
+    [ 8; 33; 64; 160 ];
+  List.iter add
+    [
+      Graph.complete 4;
+      Graph.complete 5;
+      Graph.complete_bipartite 3 3;
+      Graph.grid 9 11;
+      Graph.subdivide (Graph.complete 5) ~times:2;
+    ];
+  Alcotest.(check string) "embedding corpus digest" embed_corpus_digest (Sha256.hex (Buffer.contents b))
+
 let prop_generated_planar_embeds =
   QCheck.Test.make ~name:"planarity: generated planar graphs embed with genus 0" ~count:30
     QCheck.(pair (int_bound 10000) (int_range 10 80))
@@ -305,6 +343,7 @@ let () =
           Alcotest.test_case "known graphs" `Quick test_planarity_known;
           Alcotest.test_case "disconnected" `Quick test_planarity_disconnected;
           Alcotest.test_case "embeddings valid" `Quick test_embed_valid;
+          Alcotest.test_case "embedding digest" `Quick test_embed_digest;
           qtest prop_generated_planar_embeds;
           qtest prop_nonplanar_detected;
           qtest prop_euler_bound;
